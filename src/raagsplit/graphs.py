@@ -9,6 +9,12 @@ lexicographic order.
 
 Internally adjacency lives in bitmasks and the heavy primitives
 (components, clique enumeration) are delegated to :mod:`.kernels`.
+Minimal clique separators come from the MCS-M minimal triangulation
+(Berry, Blair, Heggernes, Peyton, "Maximum cardinality search for
+computing minimal triangulations of graphs", Algorithmica 39, 2004),
+which runs in O(nm); the clique minimal separators of a graph are the
+minimal separators of that triangulation which are cliques in the graph
+(Berry, Pogorelcnik, Simonet, Algorithms 3(2), 2010).
 """
 
 from __future__ import annotations
@@ -245,63 +251,58 @@ class Graph:
 
     # -- separators --------------------------------------------------------
 
-    def _neighborhood_mask(self, comp: int, mask: int) -> int:
-        grow = 0
-        rest = comp
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            grow |= self._adj[low.bit_length() - 1]
-        return grow & mask & ~comp
+    def _mcs_m_madj(self) -> list[int]:
+        """MCS-M (Berry, Blair, Heggernes, Peyton 2004) on the adjacency
+        masks.  Entry v of the result is madj(v): the neighbours of v in
+        the minimal triangulation H that were numbered before v.
 
-    def _minimal_separators_mask(self, mask: int) -> set[int]:
-        """All minimal a,b-separators of the subgraph induced on ``mask``,
-        over every non-adjacent pair a,b, as masks.
-
-        Per pair: start from the neighborhood of b's component beyond the
-        closed neighborhood of a, then saturate by pushing past each
-        separator vertex (neighborhood-of-component generation).
+        Each step numbers an unnumbered vertex v of maximum weight, then
+        raises the weight of, and adds an H-edge from v to, every
+        unnumbered u reachable from v along a path whose inner vertices
+        all weigh less than u.  The search walks weight levels upward,
+        growing the region reachable through lighter vertices.
         """
         adj = self._adj
-        found: set[int] = set()
-        verts = _mask_to_set(mask)
-        for ai, a in enumerate(verts):
-            for b in verts[ai + 1:]:
-                if adj[a] >> b & 1:
-                    continue
-                closed_a = (adj[a] & mask) | (1 << a)
-                sub = mask & ~closed_a
-                comp_b = kernels.component_bits(adj, sub, 1 << b)
-                first = self._neighborhood_mask(comp_b, mask)
-                if not first:
-                    continue  # a and b already in different components
-                queue = [first]
-                seen = {first}
-                while queue:
-                    s = queue.pop()
-                    found.add(s)
-                    rest = s
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        x = low.bit_length() - 1
-                        blocked = s | (adj[x] & mask) | low
-                        sub2 = mask & ~blocked
-                        if not sub2 >> b & 1:
-                            continue
-                        comp2 = kernels.component_bits(adj, sub2, 1 << b)
-                        s2 = self._neighborhood_mask(comp2, mask)
-                        if s2 not in seen:
-                            seen.add(s2)
-                            queue.append(s2)
-        return found
+        weight = [0] * self.n
+        madj = [0] * self.n
+        unnumbered = self._full
+        while unnumbered:
+            levels: dict[int, int] = {}
+            for u in _mask_to_set(unnumbered):
+                levels[weight[u]] = levels.get(weight[u], 0) | 1 << u
+            # number the lowest-index vertex of maximum weight
+            top = max(levels)
+            vbit = levels[top] & -levels[top]
+            levels[top] ^= vbit
+            unnumbered ^= vbit
+            reached, lighter, raised = vbit, 0, 0
+            border = adj[vbit.bit_length() - 1]
+            for w in sorted(levels):
+                grown = kernels.component_bits(adj, reached | lighter, reached)
+                for u in _mask_to_set(grown & ~reached):
+                    border |= adj[u]
+                reached = grown
+                raised |= border & levels[w]
+                lighter |= levels[w]
+            for u in _mask_to_set(raised):
+                weight[u] += 1
+                madj[u] |= vbit
+        return madj
 
     def minimal_clique_separators(self) -> list[VertexSet]:
         """All inclusion-minimal vertex sets that are cliques and separate
         the graph, in lexicographic order.
 
         The empty set qualifies exactly when the graph is disconnected,
-        and is then the only answer.
+        and is then the only answer.  Otherwise the answers are the clique
+        minimal separators: the minimal separators of any minimal
+        triangulation H that are cliques in the graph (Berry,
+        Pogorelcnik, Simonet, "An introduction to clique minimal
+        separator decomposition", Algorithms 3(2), 2010), at most n - 1
+        of them.  H comes from MCS-M in O(nm), and every minimal
+        separator of H is one of its madj sets; the madj sets that are
+        cliques here and separate are filtered down to the
+        inclusion-minimal ones.
 
         >>> Graph(["a", "b", "c"], [("a", "b"), ("b", "c")]).minimal_clique_separators()
         [(1,)]
@@ -310,16 +311,18 @@ class Graph:
             if not self.is_connected():
                 self._cache["mcs"] = [()]
             else:
-                cands = {
+                kept = [
                     s
-                    for s in self._minimal_separators_mask(self._full)
-                    if self._is_clique_mask(s)
-                }
-                out = []
-                for s in cands:
-                    if not any(t != s and t & ~s == 0 for t in cands):
-                        out.append(_mask_to_set(s))
-                self._cache["mcs"] = sorted(out)
+                    for s in set(self._mcs_m_madj())
+                    if s
+                    and self._is_clique_mask(s)
+                    and not kernels.is_connected_bits(self._adj, self._full & ~s)
+                ]
+                self._cache["mcs"] = sorted(
+                    _mask_to_set(s)
+                    for s in kept
+                    if not any(t != s and t & ~s == 0 for t in kept)
+                )
         return list(self._cache["mcs"])
 
 

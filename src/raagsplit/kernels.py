@@ -8,7 +8,7 @@ is preferred when importable; set ``RAAGSPLIT_KERNELS=pure`` or
 pure backend per call.
 
 Both backends are pure functions of their arguments and return identical
-values; ``benchmarks/bench_kernels.py`` compares their speed.
+values.
 """
 
 from __future__ import annotations

@@ -344,23 +344,33 @@ def scenario_from_dict(data: dict) -> LatticeScenario:
         raise InvalidScenarioError("subset_spec must be an object with a 'kind' field")
     if raw["kind"] == "subgroup":
         gens = raw.get("generators")
-        if not isinstance(gens, list) or not all(
-            isinstance(v, list) and all(isinstance(x, int) for x in v) for v in gens
-        ):
+        if not isinstance(gens, list) or not all(isinstance(v, list) for v in gens):
             raise InvalidScenarioError("subgroup generators must be lists of integers")
-        spec: SubsetSpec = SubgroupSpec(tuple(tuple(v) for v in gens))
+        spec: SubsetSpec = SubgroupSpec(
+            tuple(tuple(_json_int(x, "generator entry") for x in v) for v in gens)
+        )
     elif raw["kind"] == "catalog":
         spec = CatalogSpec(str(raw.get("tag", "")))
     else:
         raise InvalidScenarioError(f"unknown subset kind {raw['kind']!r}")
-    try:
-        n = int(data["ambient_rank"])
-        R = int(data["box_radius"])
-        L = int(data.get("thickening", 1))
-        D = int(data.get("depth", max(1, R // 4)))
-    except (TypeError, ValueError) as exc:
-        raise InvalidScenarioError(f"scenario fields must be integers: {exc}") from None
+    n = _json_int(data["ambient_rank"], "ambient_rank")
+    R = _json_int(data["box_radius"], "box_radius")
+    L = _json_int(data.get("thickening", 1), "thickening")
+    D = _json_int(data.get("depth", max(1, R // 4)), "depth")
     return LatticeScenario(n, spec, R, L, D)
+
+
+def _json_int(value, field: str) -> int:
+    """``value`` as an int when JSON Schema's "integer" type admits it:
+    an int, or a float with no fractional part such as 3.0.  Booleans,
+    strings and fractional numbers are refused, never truncated."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or isinstance(value, float) and not value.is_integer()
+    ):
+        raise InvalidScenarioError(f"{field} must be an integer, got {value!r}")
+    return int(value)
 
 
 def report_to_dict(report: SeparationReport) -> dict:

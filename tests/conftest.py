@@ -101,6 +101,90 @@ def minimal_clique_separators_oracle(g: Graph):
     return sorted(seps)
 
 
+
+def _component_mask(adj, live: int, start: int) -> int:
+    comp = frontier = start
+    while frontier:
+        grow = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grow |= adj[low.bit_length() - 1]
+        frontier = grow & live & ~comp
+        comp |= frontier
+    return comp
+
+
+def _neighborhood_mask(adj, comp: int, live: int) -> int:
+    grow = 0
+    rest = comp
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        grow |= adj[low.bit_length() - 1]
+    return grow & live & ~comp
+
+
+def _minimal_separators_masks(adj, full: int) -> set[int]:
+    """All minimal a,b-separators over every non-adjacent pair a,b, as
+    masks.
+
+    Per pair: start from the neighborhood of b's component beyond the
+    closed neighborhood of a, then saturate by pushing past each
+    separator vertex (neighborhood-of-component generation).
+    """
+    found: set[int] = set()
+    verts = [v for v in range(len(adj)) if full >> v & 1]
+    for ai, a in enumerate(verts):
+        for b in verts[ai + 1:]:
+            if adj[a] >> b & 1:
+                continue
+            closed_a = (adj[a] & full) | (1 << a)
+            comp_b = _component_mask(adj, full & ~closed_a, 1 << b)
+            first = _neighborhood_mask(adj, comp_b, full)
+            if not first:
+                continue  # a and b already in different components
+            queue = [first]
+            seen = {first}
+            while queue:
+                s = queue.pop()
+                found.add(s)
+                rest = s
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    x = low.bit_length() - 1
+                    sub2 = full & ~(s | (adj[x] & full) | low)
+                    if not sub2 >> b & 1:
+                        continue
+                    comp2 = _component_mask(adj, sub2, 1 << b)
+                    s2 = _neighborhood_mask(adj, comp2, full)
+                    if s2 not in seen:
+                        seen.add(s2)
+                        queue.append(s2)
+    return found
+
+
+def minimal_separators_enumeration_oracle(g: Graph):
+    """The enumeration ``Graph.minimal_clique_separators`` used before
+    MCS-M: every minimal separator of every non-adjacent pair, keeping
+    the inclusion-minimal cliques.  Exponential in the worst case."""
+    if not g.is_connected():
+        return [()]
+    adj = g.adjacency_masks
+    full = (1 << g.n) - 1
+    cands = {
+        s
+        for s in _minimal_separators_masks(adj, full)
+        if all(s & ~(1 << v) & ~adj[v] == 0 for v in range(g.n) if s >> v & 1)
+    }
+    out = [
+        tuple(v for v in range(g.n) if s >> v & 1)
+        for s in cands
+        if not any(t != s and t & ~s == 0 for t in cands)
+    ]
+    return sorted(out)
+
 # lattice reference: multi-source BFS inside the box is exact for the
 # ℓ¹ metric because coordinate-monotone paths never leave the box
 

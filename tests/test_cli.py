@@ -262,6 +262,49 @@ class TestLattice:
         code, _, err = run(capsys, ["lattice", files["c4.txt"]])
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("ambient_rank", 2.9),
+            ("ambient_rank", True),
+            ("box_radius", 16.7),
+            ("box_radius", "16"),
+            ("thickening", False),
+            ("thickening", 1.5),
+            ("depth", True),
+            ("depth", 2.5),
+            ("generator", True),
+            ("generator", 0.5),
+        ],
+    )
+    def test_non_integer_fields_rejected(self, files, capsys, field, value):
+        doc = json.loads(SCENARIO)
+        if field == "generator":
+            doc["subset_spec"]["generators"] = [[1, value]]
+        else:
+            doc[field] = value
+        bad = files["dir"] / "bad_scenario.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["lattice", str(bad)])
+        assert code == 2 and out == "" and err.startswith("error:")
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, schema_for("scenario"))
+
+    def test_integral_float_accepted_like_the_schema(self, files, capsys):
+        # JSON Schema's "integer" admits 3.0, so the parser does too
+        doc = json.loads(SCENARIO)
+        doc.update(box_radius=16.0, depth=3.0)
+        doc["subset_spec"]["generators"] = [[1.0, 0]]
+        jsonschema.validate(doc, schema_for("scenario"))
+        path = files["dir"] / "float_scenario.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, ["lattice", str(path)])
+        assert code == 0
+        scenario = envelope(out)["result"]["scenario"]
+        assert scenario["box_radius"] == 16 and scenario["depth"] == 3
+        assert scenario["subset_spec"]["generators"] == [[1, 0]]
+        assert all(isinstance(x, int) for x in (scenario["box_radius"], scenario["depth"]))
+
 
 class TestInputHandling:
     def test_format_override(self, files, capsys):

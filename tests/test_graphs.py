@@ -14,6 +14,7 @@ from conftest import (
     connected_graphs,
     mask_graph,
     minimal_clique_separators_oracle,
+    minimal_separators_enumeration_oracle,
     random_graph,
     separates_oracle,
 )
@@ -185,3 +186,66 @@ class TestMinimalCliqueSeparators:
                 for drop in sep:
                     smaller = tuple(v for v in sep if v != drop)
                     assert not g.separates(smaller), (g.edges(), sep)
+
+
+def chordal_clique_sum(rng: random.Random, pieces: int) -> Graph:
+    """Glue ``pieces`` complete graphs one at a time, each along a
+    random non-empty, proper when possible, sub-clique of an earlier
+    piece."""
+    cliques = [list(range(rng.randint(1, 4)))]
+    n = len(cliques[0])
+    for _ in range(pieces - 1):
+        base = rng.choice(cliques)
+        shared = rng.sample(base, rng.randint(1, max(1, len(base) - 1)))
+        fresh = list(range(n, n + rng.randint(1, 2)))
+        n += len(fresh)
+        cliques.append(shared + fresh)
+    labels = [f"v{i}" for i in range(n)]
+    edges = {
+        (labels[a], labels[b])
+        for c in cliques
+        for a, b in itertools.combinations(sorted(c), 2)
+    }
+    return Graph(labels, sorted(edges))
+
+
+def _differential_corpus(name):
+    if name == "small":
+        return [g for n in range(6) for g in all_graphs(n)]
+    if name == "random":
+        rng = random.Random(20100)
+        return [random_graph(rng, rng.randint(6, 11)) for _ in range(2000)]
+    if name == "cycles":
+        return [cycle_graph(m) for m in range(4, 17)]
+    rng = random.Random(2004)
+    return [chordal_clique_sum(rng, rng.randint(2, 6)) for _ in range(60)]
+
+
+class TestMcsMDifferential:
+    """MCS-M against the enumeration it replaced and the exhaustive
+    oracle."""
+
+    @pytest.mark.parametrize("corpus", ["small", "random", "cycles", "clique-sums"])
+    def test_matches_both_oracles(self, corpus):
+        for g in _differential_corpus(corpus):
+            got = g.minimal_clique_separators()
+            assert got == minimal_separators_enumeration_oracle(g), (g.labels, g.edges())
+            assert got == minimal_clique_separators_oracle(g), (g.labels, g.edges())
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 9), st.integers(0, (1 << 36) - 1), st.randoms(use_true_random=False))
+    def test_relabel_and_reorder_maps_separators(self, n, mask, rnd):
+        g = mask_graph(n, mask)
+        order = list(range(n))
+        rnd.shuffle(order)
+        names = [f"u{k}" for k in rnd.sample(range(100), n)]
+        # vertex order[i] of g becomes vertex i of h, named names[order[i]]
+        h = Graph(
+            [names[order[i]] for i in range(n)],
+            [(names[a], names[b]) for a, b in g.edges()],
+        )
+        where = {v: i for i, v in enumerate(order)}
+        mapped = sorted(
+            tuple(sorted(where[v] for v in sep)) for sep in g.minimal_clique_separators()
+        )
+        assert h.minimal_clique_separators() == mapped

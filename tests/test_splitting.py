@@ -145,6 +145,24 @@ class TestSpectrum:
             bound = max(g.clique_number(), g.n - 1, 0)
             assert all(0 <= n <= bound for n in splitting_spectrum(g))
 
+    @staticmethod
+    def per_rank_spectrum(g):
+        """The spectrum as first computed: one witness search per rank
+        up to max(clique number, |V| - 1)."""
+        bound = max(g.clique_number(), g.n - 1)
+        return {n for n in range(bound + 1) if splits_over_rank(g, n) is not None}
+
+    def test_one_pass_matches_per_rank_small(self):
+        for n_verts in range(6):
+            for g in all_graphs(n_verts):
+                assert splitting_spectrum(g) == self.per_rank_spectrum(g), g.edges()
+
+    def test_one_pass_matches_per_rank_random(self):
+        rng = random.Random(1985)
+        for _ in range(2000):
+            g = random_graph(rng, rng.randint(6, 10))
+            assert splitting_spectrum(g) == self.per_rank_spectrum(g), g.edges()
+
     def test_nonempty_iff_complete_or_cut(self):
         for g in all_graphs(5):
             nonempty = bool(splitting_spectrum(g))
