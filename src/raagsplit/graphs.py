@@ -8,7 +8,8 @@ deterministic: sets are sorted ascending and lists of sets are in
 lexicographic order.
 
 Internally adjacency lives in bitmasks and the heavy primitives
-(components, clique enumeration) are delegated to :mod:`.kernels`.
+(components, clique enumeration) are the pure-Python bitset kernels in
+:mod:`.kernels`.
 Minimal clique separators come from the MCS-M minimal triangulation
 (Berry, Blair, Heggernes, Peyton, "Maximum cardinality search for
 computing minimal triangulations of graphs", Algorithmica 39, 2004),
