@@ -191,18 +191,22 @@ def _run(args) -> tuple[dict, int]:
             scenario_doc = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise RaagsplitError(f"scenario file is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise RaagsplitError("scenario file nests JSON too deeply") from None
         report = deep_components(scenario_from_dict(scenario_doc))
         return {"digest": digest, "result": report_to_dict(report)}, 0
 
     g = _load_graph(args, raw)
 
-    if args.command == "decide":
+    if args.command in ("decide", "witness"):
         witness = splits_over_rank(g, args.rank)
         result = {
             "answer": "yes" if witness else "no",
             "rank": args.rank,
             "witness": None if witness is None else _witness_json(g, witness),
         }
+        if args.command == "witness":
+            result["amalgam"] = None if witness is None else _witness_amalgam(g, witness)
         return {"digest": digest, "result": result}, 0 if witness else 1
 
     if args.command == "oracle":
@@ -218,16 +222,6 @@ def _run(args) -> tuple[dict, int]:
         if args.dot:
             Path(args.dot).write_text(_ccd_dot(g, tree))
         return {"digest": digest, "result": _ccd_json(g, tree)}, 0
-
-    if args.command == "witness":
-        witness = splits_over_rank(g, args.rank)
-        result = {
-            "answer": "yes" if witness else "no",
-            "rank": args.rank,
-            "witness": None if witness is None else _witness_json(g, witness),
-            "amalgam": None if witness is None else _witness_amalgam(g, witness),
-        }
-        return {"digest": digest, "result": result}, 0 if witness else 1
 
     if args.command == "present":
         return {"digest": digest, "result": _presentation_json(raag_presentation(g))}, 0

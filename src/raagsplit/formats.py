@@ -82,6 +82,8 @@ def _parse_json(text: str) -> GraphDocument:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
+    except RecursionError:
+        raise GraphParseError("JSON nesting is too deep") from None
     if not isinstance(doc, dict):
         raise GraphParseError("top level must be an object", line=1, column=1)
     vertices = doc.get("vertices")

@@ -1,10 +1,16 @@
 """Presentation-level constructions for right-angled Artin groups.
 
-Words are tuples of ``(generator, exponent)`` letters with exponents
-±1.  A :class:`Presentation` keeps its relators freely reduced and
-stores every commutator relator in the normal form ``[x, y]`` =
-x y x⁻¹ y⁻¹ with x before y in generator order, so presentations built
-along different routes compare syntactically.
+Words are tuples of ``(generator, exponent)`` letters; every exponent
+is the integer 1 or -1 (not a bool, not a float).  A
+:class:`Presentation` checks every letter, keeps its relators freely
+reduced and stores every commutator relator in the normal form
+``[x, y]`` = x y x⁻¹ y⁻¹ with x before y in generator order, so
+presentations built along different routes compare syntactically.
+
+Every presentation of A(g[S]) for a vertex subset S (the whole group,
+the factors of both amalgams) comes from one private function that
+reads the edges of g inside S and names each generator by its vertex
+label plus an optional suffix.
 
 Amalgam constructions:
 
@@ -20,9 +26,10 @@ Amalgam constructions:
   non-trivial.
 * :func:`verify_star_split` replays the rewriting argument for that
   amalgam: eliminate the ``_2`` copies of star generators through the
-  identification relators, discard each commutator of a power whose
-  base commutator is already present, relabel, and compare with the
-  canonical presentation of A(g).
+  identification relators, relabel, bring each relator to the
+  presentation normal form, discard each commutator of a power whose
+  base commutator is already present, and compare with the canonical
+  presentation of A(g).
 """
 
 from __future__ import annotations
@@ -81,17 +88,8 @@ def syllables(word: Sequence[Letter]) -> tuple[tuple[str, int], ...]:
 
 
 def _commutator_pair(word: Word) -> Optional[tuple[str, str]]:
-    """The (x, y) of a plain commutator-shaped word, else None."""
-    if len(word) != 4:
-        return None
-    (g0, e0), (g1, e1), (g2, e2), (g3, e3) = word
-    if g0 == g2 and g1 == g3 and g0 != g1 and e0 == -e2 and e1 == -e3:
-        return (g0, g1)
-    return None
-
-
-def _power_commutator_pair(word: Word) -> Optional[tuple[str, str]]:
-    """The (x, y) of a word of shape x^p y^q x^-p y^-q, else None."""
+    """The (x, y) of a freely reduced word of shape x^p y^q x^-p y^-q,
+    else None.  A plain commutator is the case of length 4."""
     syl = syllables(word)
     if len(syl) != 4:
         return None
@@ -103,13 +101,22 @@ def _power_commutator_pair(word: Word) -> Optional[tuple[str, str]]:
 
 def _normalize_relator(word: Sequence[Letter], order: Mapping[str, int]) -> Word:
     reduced = free_reduce(word)
-    pair = _commutator_pair(reduced)
+    pair = _commutator_pair(reduced) if len(reduced) == 4 else None
     if pair is not None:
         x, y = pair
         if order[x] > order[y]:
             x, y = y, x
         return commutator(x, y)
     return reduced
+
+
+def _check_letter(gen, exp, scope, error: type[InvalidArgumentError], where: str) -> None:
+    """Raise ``error`` unless ``gen`` is in ``scope`` and ``exp`` is a
+    non-bool int equal to 1 or -1."""
+    if gen not in scope:
+        raise error(f"{where} uses {gen!r}, not one of its generators")
+    if type(exp) is not int or exp not in (1, -1):
+        raise error(f"{where}: letter exponent must be the integer 1 or -1, got {exp!r}")
 
 
 @dataclass(frozen=True)
@@ -127,12 +134,9 @@ class Presentation:
         seen = set()
         normalized = []
         for word in relators:
-            w = tuple((str(g), int(e)) for g, e in word)
-            for g, e in w:
-                if g not in order:
-                    raise InvalidArgumentError(f"relator uses unknown generator {g!r}")
-                if e not in (1, -1):
-                    raise InvalidArgumentError(f"letter exponent must be +1 or -1, got {e}")
+            w = [(str(gen), exp) for gen, exp in word]
+            for gen, exp in w:
+                _check_letter(gen, exp, order, InvalidArgumentError, "relator")
             w = _normalize_relator(w, order)
             if w and w not in seen:
                 seen.add(w)
@@ -152,9 +156,8 @@ class Presentation:
 
 
 def render_word(word: Word) -> str:
-    pair = _commutator_pair(word)
-    if pair is not None and word == commutator(*pair):
-        return f"[{pair[0]},{pair[1]}]"
+    if len(word) == 4 and word == commutator(word[0][0], word[1][0]):
+        return f"[{word[0][0]},{word[1][0]}]"
     return " ".join(g if e == 1 else f"{g}^-1" for g, e in word)
 
 
@@ -175,6 +178,18 @@ class Amalgam:
     embed2: Mapping[str, Word] = field(default_factory=dict)
 
 
+def _raag_on(g: Graph, keep: VertexSet, suffix: str = "") -> Presentation:
+    """Canonical presentation of A(g[keep]) with ``suffix`` appended to
+    every generator name: one generator per vertex of the sorted set
+    ``keep``, one commutator relator per edge of g inside it, both in
+    vertex order."""
+    names = {i: g.labels[i] + suffix for i in keep}
+    return Presentation(
+        names.values(),
+        [commutator(names[i], names[j]) for i, j in g.edges() if i in names and j in names],
+    )
+
+
 def raag_presentation(g: Graph) -> Presentation:
     """Canonical presentation of A(g): one generator per vertex, one
     commutator relator per edge, both in vertex order.
@@ -183,10 +198,7 @@ def raag_presentation(g: Graph) -> Presentation:
     >>> raag_presentation(path_graph("abc")).text()
     '< a, b, c | [a,b], [b,c] >'
     """
-    labels = g.labels
-    return Presentation(
-        labels, [commutator(labels[i], labels[j]) for i, j in g.edges()]
-    )
+    return _raag_on(g, g.vertices())
 
 
 def normalizer_of_special(g: Graph, s) -> VertexSet:
@@ -214,21 +226,11 @@ def direct_amalgam(g: Graph, s) -> Amalgam:
     edge_gens = g.labels_of(s)
     identity = {x: ((x, 1),) for x in edge_gens}
     return Amalgam(
-        factor1=raag_presentation(g.induced_subgraph(side1)),
-        factor2=raag_presentation(g.induced_subgraph(side2)),
+        factor1=_raag_on(g, side1),
+        factor2=_raag_on(g, side2),
         edge_generators=edge_gens,
         embed1=identity,
         embed2=dict(identity),
-    )
-
-
-def _suffixed(g: Graph, keep, suffix: str) -> Presentation:
-    sub = g.induced_subgraph(keep)
-    base = raag_presentation(sub)
-    ren = {x: x + suffix for x in base.generators}
-    return Presentation(
-        tuple(ren[x] for x in base.generators),
-        [tuple((ren[x], e) for x, e in w) for w in base.relators],
     )
 
 
@@ -254,8 +256,8 @@ def star_split(g: Graph, u: int) -> Amalgam:
             embed1[x] = ((x + SUFFIX_STAR, 1),)
     embed2 = {x: ((x + SUFFIX_AMBIENT, 1),) for x in star_labels}
     return Amalgam(
-        factor1=_suffixed(g, star, SUFFIX_STAR),
-        factor2=_suffixed(g, g.vertices(), SUFFIX_AMBIENT),
+        factor1=_raag_on(g, star, SUFFIX_STAR),
+        factor2=_raag_on(g, g.vertices(), SUFFIX_AMBIENT),
         edge_generators=star_labels,
         embed1=embed1,
         embed2=embed2,
@@ -287,12 +289,7 @@ def _check_amalgam(a: Amalgam) -> None:
         scope = set(factor.generators)
         for e, w in embed.items():
             for gen, exp in w:
-                if gen not in scope:
-                    raise InvalidAmalgamError(
-                        f"{name}[{e!r}] uses {gen!r}, not a generator of its factor"
-                    )
-                if exp not in (1, -1):
-                    raise InvalidAmalgamError("embed word exponents must be +1 or -1")
+                _check_letter(gen, exp, scope, InvalidAmalgamError, f"{name}[{e!r}]")
 
 
 def verify_star_split(g: Graph, a: Amalgam) -> bool:
@@ -301,10 +298,11 @@ def verify_star_split(g: Graph, a: Amalgam) -> bool:
 
     Builds the amalgam's full presentation (both factors' relators plus
     the identifications embed1(e) = embed2(e)), eliminates each
-    factor-2 copy of a star generator, drops every commutator of a
-    power whose base commutator is present, relabels by stripping the
-    fixed suffixes, and returns whether the relator set equals the one
-    of :func:`raag_presentation`.
+    factor-2 copy of a star generator, relabels by stripping the fixed
+    suffixes, brings each relator to the :class:`Presentation` normal
+    form, drops every commutator of a power whose base commutator is
+    present, and returns whether the relator set equals the one of
+    :func:`raag_presentation`.
 
     The rewriting is only the documented one when exactly one edge
     generator embeds as a square of a single factor-1 generator and all
@@ -316,12 +314,13 @@ def verify_star_split(g: Graph, a: Amalgam) -> bool:
     _check_amalgam(a)
     f1gens = a.factor1.generators
     f2gens = a.factor2.generators
-    if set(f1gens) & set(f2gens):
+    f1set = set(f1gens)
+    if f1set & set(f2gens):
         raise InvalidAmalgamError("factor generator names overlap")
 
+    embed1 = {e: free_reduce(a.embed1[e]) for e in a.edge_generators}
     squares = 0
-    for e in a.edge_generators:
-        w = free_reduce(a.embed1[e])
+    for w in embed1.values():
         if len(w) == 2 and w[0] == w[1] and w[0][1] == 1:
             squares += 1
         elif not (len(w) == 1 and w[0][1] == 1):
@@ -340,13 +339,13 @@ def verify_star_split(g: Graph, a: Amalgam) -> bool:
 
     # Tietze eliminations: each identified factor-2 generator becomes its
     # embed1 word
-    table = {targets[e]: free_reduce(a.embed1[e]) for e in a.edge_generators}
+    table = {targets[e]: embed1[e] for e in a.edge_generators}
     combined = list(a.factor1.relators) + [_substitute(w, table) for w in a.factor2.relators]
     survivors = list(f1gens) + [x for x in f2gens if x not in table]
 
     relabel = {}
     for x in survivors:
-        suffix = SUFFIX_STAR if x in set(f1gens) else SUFFIX_AMBIENT
+        suffix = SUFFIX_STAR if x in f1set else SUFFIX_AMBIENT
         if not x.endswith(suffix):
             return False
         relabel[x] = x[: -len(suffix)]
@@ -361,26 +360,19 @@ def verify_star_split(g: Graph, a: Amalgam) -> bool:
     kept: set[Word] = set()
     powers = []
     for w in combined:
-        w = free_reduce(tuple((relabel[x], e) for x, e in w))
+        w = _normalize_relator([(relabel[x], e) for x, e in w], order)
         if not w:
             continue
         pair = _commutator_pair(w)
-        if pair is not None:
-            x, y = pair
-            if order[x] > order[y]:
-                x, y = y, x
-            kept.add(commutator(x, y))
-            continue
-        pair = _power_commutator_pair(w)
         if pair is None:
             return False
-        powers.append(pair)
+        if len(w) == 4:
+            kept.add(w)
+        else:
+            powers.append(pair)
 
-    for x, y in powers:
-        if order[x] > order[y]:
-            x, y = y, x
-        # commutation of a power follows from commutation of the base
-        if commutator(x, y) not in kept:
-            return False
+    # commutation of a power follows from commutation of the base
+    if any(_normalize_relator(commutator(*pair), order) not in kept for pair in powers):
+        return False
 
     return kept == set(target.relators)

@@ -13,7 +13,22 @@ from collections import deque
 
 import pytest
 
+from raagsplit.errors import InvalidAmalgamError
 from raagsplit.graphs import Graph
+from raagsplit.presentations import (
+    SUFFIX_AMBIENT,
+    SUFFIX_STAR,
+    Amalgam,
+    Presentation,
+    commutator,
+    free_reduce,
+    inverse_word,
+    raag_presentation,
+    syllables,
+)
+
+# a graph file nested deeper than json.loads can recurse
+DEEP_JSON = b'{"vertices": ' + b"[" * 200_000 + b"]" * 200_000 + b"}"
 
 
 def mask_graph(n: int, mask: int, prefix: str = "v") -> Graph:
@@ -184,6 +199,140 @@ def minimal_separators_enumeration_oracle(g: Graph):
         if not any(t != s and t & ~s == 0 for t in cands)
     ]
     return sorted(out)
+
+
+# star-split reference: the replay ``verify_star_split`` ran before
+# presentations were built one way, with its own two commutator
+# recognisers and its own order-and-swap normalisation
+
+
+def _commutator_pair(word):
+    """The (x, y) of a plain commutator-shaped word, else None."""
+    if len(word) != 4:
+        return None
+    (g0, e0), (g1, e1), (g2, e2), (g3, e3) = word
+    if g0 == g2 and g1 == g3 and g0 != g1 and e0 == -e2 and e1 == -e3:
+        return (g0, g1)
+    return None
+
+
+def _power_commutator_pair(word):
+    """The (x, y) of a word of shape x^p y^q x^-p y^-q, else None."""
+    syl = syllables(word)
+    if len(syl) != 4:
+        return None
+    (g0, p0), (g1, p1), (g2, p2), (g3, p3) = syl
+    if g0 == g2 and g1 == g3 and g0 != g1 and p0 == -p2 and p1 == -p3:
+        return (g0, g1)
+    return None
+
+
+def _substitute(word, table):
+    out = []
+    for gen, exp in word:
+        if gen in table:
+            out.extend(table[gen] if exp == 1 else inverse_word(table[gen]))
+        else:
+            out.append((gen, exp))
+    return free_reduce(out)
+
+
+def _check_amalgam(a: Amalgam) -> None:
+    for p in (a.factor1, a.factor2):
+        if not isinstance(p, Presentation):
+            raise InvalidAmalgamError("factors must be presentations")
+    if len(set(a.edge_generators)) != len(a.edge_generators):
+        raise InvalidAmalgamError("edge generators must be distinct")
+    for name, embed, factor in (
+        ("embed1", a.embed1, a.factor1),
+        ("embed2", a.embed2, a.factor2),
+    ):
+        if set(embed) != set(a.edge_generators):
+            raise InvalidAmalgamError(f"{name} must be defined exactly on the edge generators")
+        scope = set(factor.generators)
+        for e, w in embed.items():
+            for gen, exp in w:
+                if gen not in scope:
+                    raise InvalidAmalgamError(
+                        f"{name}[{e!r}] uses {gen!r}, not a generator of its factor"
+                    )
+                if exp not in (1, -1):
+                    raise InvalidAmalgamError("embed word exponents must be +1 or -1")
+
+
+def verify_star_split_oracle(g: Graph, a: Amalgam) -> bool:
+    """Reference star-split replay: eliminate the factor-2 copies of
+    star generators, drop commutators of powers whose base commutator
+    is present, relabel, and compare with ``raag_presentation(g)``."""
+    _check_amalgam(a)
+    f1gens = a.factor1.generators
+    f2gens = a.factor2.generators
+    if set(f1gens) & set(f2gens):
+        raise InvalidAmalgamError("factor generator names overlap")
+
+    squares = 0
+    for e in a.edge_generators:
+        w = free_reduce(a.embed1[e])
+        if len(w) == 2 and w[0] == w[1] and w[0][1] == 1:
+            squares += 1
+        elif not (len(w) == 1 and w[0][1] == 1):
+            return False
+    if squares != 1:
+        return False
+
+    targets = {}
+    for e in a.edge_generators:
+        w = free_reduce(a.embed2[e])
+        if len(w) != 1 or w[0][1] != 1:
+            return False
+        targets[e] = w[0][0]
+    if len(set(targets.values())) != len(targets):
+        return False
+
+    table = {targets[e]: free_reduce(a.embed1[e]) for e in a.edge_generators}
+    combined = list(a.factor1.relators) + [_substitute(w, table) for w in a.factor2.relators]
+    survivors = list(f1gens) + [x for x in f2gens if x not in table]
+
+    relabel = {}
+    for x in survivors:
+        suffix = SUFFIX_STAR if x in set(f1gens) else SUFFIX_AMBIENT
+        if not x.endswith(suffix):
+            return False
+        relabel[x] = x[: -len(suffix)]
+    if len(set(relabel.values())) != len(relabel):
+        return False
+
+    target = raag_presentation(g)
+    if sorted(relabel.values()) != sorted(target.generators):
+        return False
+    order = {x: i for i, x in enumerate(target.generators)}
+
+    kept = set()
+    powers = []
+    for w in combined:
+        w = free_reduce(tuple((relabel[x], e) for x, e in w))
+        if not w:
+            continue
+        pair = _commutator_pair(w)
+        if pair is not None:
+            x, y = pair
+            if order[x] > order[y]:
+                x, y = y, x
+            kept.add(commutator(x, y))
+            continue
+        pair = _power_commutator_pair(w)
+        if pair is None:
+            return False
+        powers.append(pair)
+
+    for x, y in powers:
+        if order[x] > order[y]:
+            x, y = y, x
+        if commutator(x, y) not in kept:
+            return False
+
+    return kept == set(target.relators)
+
 
 # lattice reference: multi-source BFS inside the box is exact for the
 # ℓ¹ metric because coordinate-monotone paths never leave the box

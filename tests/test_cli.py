@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 import raagsplit
+from conftest import DEEP_JSON
 from raagsplit.cli import main, schema_for
 
 P2_JSON = '{"vertices":["a","b","c"],"edges":[["a","b"],["b","c"]]}'
@@ -262,6 +263,12 @@ class TestLattice:
         code, _, err = run(capsys, ["lattice", files["c4.txt"]])
         assert code == 2 and err.startswith("error:")
 
+    def test_deeply_nested_scenario(self, files, capsys):
+        bad = files["dir"] / "deep_scenario.json"
+        bad.write_bytes(DEEP_JSON)
+        code, out, err = run(capsys, ["lattice", str(bad)])
+        assert code == 2 and out == "" and err.startswith("error:")
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -326,6 +333,14 @@ class TestInputHandling:
         assert code == 2
         assert err.startswith("error:") and "line 1" in err
         assert err.count("line 1") == 1
+
+    def test_deeply_nested_graph_file(self, files, capsys):
+        # json.loads raises RecursionError here, not JSONDecodeError
+        bad = files["dir"] / "deep.json"
+        bad.write_bytes(DEEP_JSON)
+        code, out, err = run(capsys, ["decide", "-n", "1", str(bad)])
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert err.count("\n") == 1
 
     def test_missing_file(self, files, capsys):
         code, _, err = run(capsys, ["spectrum", str(files["dir"] / "nope.json")])

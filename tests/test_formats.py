@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import random_graph
+from conftest import DEEP_JSON, random_graph
 from raagsplit.errors import (
     GraphParseError,
     InvalidArgumentError,
@@ -130,6 +130,10 @@ class TestErrorPositions:
     def test_json_bad_edge_shape(self):
         with pytest.raises(GraphParseError):
             parse_graph(b'{"vertices": ["a"], "edges": [["a"]]}')
+
+    def test_json_nesting_too_deep(self):
+        with pytest.raises(GraphParseError):
+            parse_graph(DEEP_JSON)
 
     def test_edge_list_three_tokens(self):
         with pytest.raises(GraphParseError) as err:

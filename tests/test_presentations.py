@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import connected_graphs, random_connected_graph
+from conftest import connected_graphs, random_connected_graph, verify_star_split_oracle
 from raagsplit.errors import (
     InvalidAmalgamError,
     InvalidArgumentError,
@@ -16,6 +16,8 @@ from raagsplit.errors import (
 )
 from raagsplit.graphs import Graph, complete_graph, cycle_graph, path_graph
 from raagsplit.presentations import (
+    SUFFIX_AMBIENT,
+    SUFFIX_STAR,
     Presentation,
     commutator,
     direct_amalgam,
@@ -82,6 +84,14 @@ class TestPresentation:
     def test_duplicate_generator(self):
         with pytest.raises(InvalidArgumentError):
             Presentation(("a", "a"))
+
+    def test_non_integer_exponents_rejected(self):
+        # int() used to read this as [a,b]
+        with pytest.raises(InvalidArgumentError):
+            Presentation(("a", "b"), [(("a", 1.7), ("b", True), ("a", -1.2), ("b", -1))])
+        for exp in (True, False, 1.0, -1.0, "1"):
+            with pytest.raises(InvalidArgumentError):
+                Presentation(("a",), [(("a", exp),)])
 
     def test_text(self):
         assert Presentation(("a", "b"), [commutator("a", "b")]).text() == "< a, b | [a,b] >"
@@ -252,3 +262,116 @@ class TestVerifyStarSplit:
         bad = replace(a, embed1={**a.embed1, "b": (("b_1", 2),)})
         with pytest.raises(InvalidAmalgamError):
             verify_star_split(g, bad)
+
+    @pytest.mark.parametrize("exp", [True, 1.0, -1.0])
+    def test_non_integer_embed_exponent(self, exp):
+        g = path_graph("abc")
+        a = star_split(g, 0)
+        bad = replace(a, embed2={**a.embed2, "b": (("b_2", exp),)})
+        with pytest.raises(InvalidAmalgamError):
+            verify_star_split(g, bad)
+
+
+def _star_split_corpus():
+    for n in range(2, 6):
+        for g in connected_graphs(n):
+            for u in range(n):
+                if g.star((u,)) != g.vertices():
+                    yield g, star_split(g, u)
+
+
+def _outcome(check, g, a):
+    try:
+        return check(g, a)
+    except Exception as exc:  # the error type is part of the outcome
+        return type(exc)
+
+
+def _flip(word, k):
+    gen, exp = word[k]
+    return word[:k] + ((gen, -exp),) + word[k + 1:]
+
+
+def _edit_relators(p, edit):
+    return Presentation(p.generators, edit(list(p.relators)))
+
+
+def _single_edit(rng, g, a):
+    """One seeded edit of the amalgam ``a`` (or of its ambient graph);
+    returns the graph and amalgam to replay, plus the edit's name."""
+    kind = rng.choice(("drop", "duplicate", "embed", "flip", "rename", "ambient"))
+    which = rng.choice(("factor1", "factor2"))
+    factor = getattr(a, which)
+    if kind in ("drop", "duplicate") and factor.relators:
+        k = rng.randrange(len(factor.relators))
+        if kind == "drop":
+            edited = _edit_relators(factor, lambda rels: rels[:k] + rels[k + 1:])
+        else:
+            edited = _edit_relators(factor, lambda rels: rels + [rels[k]])
+        return g, replace(a, **{which: edited}), kind
+    if kind == "embed":
+        name = rng.choice(("embed1", "embed2"))
+        # mostly words over the right factor, sometimes over the other one
+        pool = (a.factor1 if (name == "embed1") == (rng.random() < 0.8) else a.factor2).generators
+        word = tuple((rng.choice(pool), rng.choice((1, -1))) for _ in range(rng.randint(1, 3)))
+        e = rng.choice(a.edge_generators)
+        return g, replace(a, **{name: {**getattr(a, name), e: word}}), kind
+    if kind == "flip":
+        if rng.random() < 0.5 and factor.relators:
+            k = rng.randrange(len(factor.relators))
+            edited = _edit_relators(
+                factor, lambda rels: rels[:k] + [_flip(rels[k], rng.randrange(4))] + rels[k + 1:]
+            )
+            return g, replace(a, **{which: edited}), kind
+        name = rng.choice(("embed1", "embed2"))
+        e = rng.choice(a.edge_generators)
+        word = getattr(a, name)[e]
+        return g, replace(a, **{name: {**getattr(a, name), e: _flip(word, rng.randrange(len(word)))}}), kind
+    if kind == "rename":
+        old = rng.choice(factor.generators)
+        base = old[: -len(SUFFIX_STAR)]
+        new = rng.choice(
+            (base, base + SUFFIX_STAR, base + SUFFIX_AMBIENT, rng.choice(g.labels) + SUFFIX_AMBIENT, "z_1", "z_2")
+        )
+        if new in factor.generators:
+            new = new + "x"
+        ren = {old: new}
+
+        def word(w):
+            return tuple((ren.get(x, x), e) for x, e in w)
+
+        edited = Presentation(
+            [ren.get(x, x) for x in factor.generators], [word(w) for w in factor.relators]
+        )
+        embed = "embed1" if which == "factor1" else "embed2"
+        renamed = {e: word(w) for e, w in getattr(a, embed).items()}
+        return g, replace(a, **{which: edited, embed: renamed}), kind
+    # toggle one pair of the ambient graph
+    i, j = sorted(rng.sample(range(g.n), 2))
+    edges = set(g.edges()) ^ {(i, j)}
+    h = Graph(g.labels, [(g.labels[x], g.labels[y]) for x, y in edges])
+    return h, a, "ambient"
+
+
+class TestVerifyStarSplitDifferential:
+    """The replay against the one it replaced, kept in conftest as
+    ``verify_star_split_oracle``."""
+
+    def test_small_connected_graphs(self):
+        for g, a in _star_split_corpus():
+            assert verify_star_split(g, a) is True
+            assert verify_star_split_oracle(g, a) is True
+
+    def test_seeded_single_edits(self):
+        corpus = list(_star_split_corpus())
+        rng = random.Random(0x57A5)
+        seen = {}
+        for _ in range(3000):
+            g, a = rng.choice(corpus)
+            h, edited, kind = _single_edit(rng, g, a)
+            expect = _outcome(verify_star_split_oracle, h, edited)
+            assert _outcome(verify_star_split, h, edited) == expect, (kind, g.edges(), edited)
+            seen.setdefault(kind, set()).add(expect if isinstance(expect, bool) else expect.__name__)
+        # every edit kind ran, and the edits reach all three outcomes
+        assert set(seen) == {"drop", "duplicate", "embed", "flip", "rename", "ambient"}
+        assert set().union(*seen.values()) >= {True, False, "InvalidAmalgamError"}
