@@ -14,6 +14,8 @@ All distances are ℓ¹ (the word metric of ℤⁿ on standard generators)
 and all arithmetic is integer-exact.  Distances are measured to the
 subset points inside the box; the ℓ¹ metric is geodesically convex on
 the box, so the chamfer transform below computes them exactly.
+C order is lexicographic order, so a deep component's witness, its
+smallest point at distance >= D, is its first such cell in the array.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ class SubgroupSpec:
     generators: tuple[Point, ...]
 
     def __init__(self, generators):
-        gens = tuple(tuple(int(x) for x in v) for v in generators)
+        gens = tuple(tuple(_as_int(x, "generator entry") for x in v) for v in generators)
         object.__setattr__(self, "generators", gens)
 
 
@@ -198,8 +200,7 @@ def _subset_mask(sc: LatticeScenario) -> np.ndarray:
     mask = np.zeros(shape, dtype=bool)
     spec = sc.subset_spec
     if isinstance(spec, SubgroupSpec):
-        for p in _subgroup_points(spec, n, R):
-            mask[tuple(x + R for x in p)] = True
+        mask[tuple(np.array(_subgroup_points(spec, n, R)).T + R)] = True
         return mask
     tag = spec.tag
     if tag == "half-line":
@@ -216,8 +217,8 @@ def deep_components(sc: LatticeScenario) -> SeparationReport:
 
     Removes every box point at ℓ¹-distance <= L from the subset, labels
     what is left by unit steps, and reports the components containing a
-    point at distance >= D, each with its lexicographically smallest
-    witness point.
+    point at distance >= D.  Each one's witness is its first such point
+    in C order, which is lexicographic order; witnesses come sorted.
     """
     n, R = sc.ambient_rank, sc.box_radius
     subset = _subset_mask(sc)
@@ -225,17 +226,13 @@ def deep_components(sc: LatticeScenario) -> SeparationReport:
     dist = ndimage.distance_transform_cdt(~subset, metric="taxicab")
     keep = dist > sc.thickening
     labels, total = ndimage.label(keep, structure=ndimage.generate_binary_structure(n, 1))
-    deep_mask = keep & (dist >= sc.depth)
-    deep_ids = np.unique(labels[deep_mask])
-    witnesses = []
-    for lab in deep_ids:
-        cells = np.argwhere((labels == lab) & deep_mask)
-        first = min(map(tuple, cells))
-        witnesses.append(tuple(int(x) - R for x in first))
-    witnesses.sort()
+    deep = np.flatnonzero(keep & (dist >= sc.depth))
+    _, first = np.unique(labels.ravel()[deep], return_index=True)
+    coords = np.unravel_index(deep[first], labels.shape)
+    witnesses = sorted(zip(*((c - R).tolist() for c in coords)))
     return SeparationReport(
         total_components=int(total),
-        deep_components=int(len(deep_ids)),
+        deep_components=len(witnesses),
         deep_witnesses=tuple(witnesses),
         scenario=sc,
     )
@@ -360,17 +357,19 @@ def scenario_from_dict(data: dict) -> LatticeScenario:
     return LatticeScenario(n, spec, R, L, D)
 
 
-def _json_int(value, field: str) -> int:
-    """``value`` as an int when JSON Schema's "integer" type admits it:
-    an int, or a float with no fractional part such as 3.0.  Booleans,
-    strings and fractional numbers are refused, never truncated."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or isinstance(value, float) and not value.is_integer()
-    ):
+def _as_int(value, field: str) -> int:
+    """``value`` as an int if it is an int or a numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidScenarioError(f"{field} must be an integer, got {value!r}")
     return int(value)
+
+
+def _json_int(value, field: str) -> int:
+    """``value`` as an int when JSON Schema's "integer" type admits it:
+    an int, or an integral float such as 3.0.  Nothing is truncated."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return _as_int(value, field)
 
 
 def report_to_dict(report: SeparationReport) -> dict:

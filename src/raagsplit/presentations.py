@@ -1,7 +1,8 @@
 """Presentation-level constructions for right-angled Artin groups.
 
-Words are tuples of ``(generator, exponent)`` letters; every exponent
-is the integer 1 or -1 (not a bool, not a float).  A
+Words are tuples of ``(generator, exponent)`` letters; every generator
+is a str and every exponent is the integer 1 or -1 (not a bool, not a
+float); nothing is coerced.  A
 :class:`Presentation` checks every letter, keeps its relators freely
 reduced and stores every commutator relator in the normal form
 ``[x, y]`` = x y x⁻¹ y⁻¹ with x before y in generator order, so
@@ -111,9 +112,9 @@ def _normalize_relator(word: Sequence[Letter], order: Mapping[str, int]) -> Word
 
 
 def _check_letter(gen, exp, scope, error: type[InvalidArgumentError], where: str) -> None:
-    """Raise ``error`` unless ``gen`` is in ``scope`` and ``exp`` is a
-    non-bool int equal to 1 or -1."""
-    if gen not in scope:
+    """Raise ``error`` unless ``gen`` is a str in ``scope`` and ``exp`` is
+    a non-bool int equal to 1 or -1."""
+    if not isinstance(gen, str) or gen not in scope:
         raise error(f"{where} uses {gen!r}, not one of its generators")
     if type(exp) is not int or exp not in (1, -1):
         raise error(f"{where}: letter exponent must be the integer 1 or -1, got {exp!r}")
@@ -127,14 +128,16 @@ class Presentation:
     relators: tuple[Word, ...]
 
     def __init__(self, generators, relators=()):
-        gens = tuple(str(x) for x in generators)
+        gens = tuple(generators)
+        if not all(isinstance(x, str) for x in gens):
+            raise InvalidArgumentError(f"generator names must be strings, got {gens!r}")
         if len(set(gens)) != len(gens):
             raise InvalidArgumentError("duplicate generator name")
         order = {x: i for i, x in enumerate(gens)}
         seen = set()
         normalized = []
         for word in relators:
-            w = [(str(gen), exp) for gen, exp in word]
+            w = [(gen, exp) for gen, exp in word]
             for gen, exp in w:
                 _check_letter(gen, exp, order, InvalidArgumentError, "relator")
             w = _normalize_relator(w, order)

@@ -3,6 +3,9 @@
 The oracles here deliberately avoid the library's own algorithms so
 they can catch systematic mistakes: separator checks run on plain
 adjacency sets, lattice distances come from multi-source BFS.
+``minimal_separators_enumeration_oracle``, ``verify_star_split_oracle``
+and ``deep_witnesses_oracle`` are instead the code that a rewrite
+replaced, kept to test the new code differentially.
 """
 
 from __future__ import annotations
@@ -11,10 +14,13 @@ import itertools
 import random
 from collections import deque
 
+import numpy as np
 import pytest
+from scipy import ndimage
 
 from raagsplit.errors import InvalidAmalgamError
 from raagsplit.graphs import Graph
+from raagsplit.lattice import LatticeScenario, SubgroupSpec, _subgroup_points, _subset_mask
 from raagsplit.presentations import (
     SUFFIX_AMBIENT,
     SUFFIX_STAR,
@@ -355,6 +361,31 @@ def bfs_distances(n: int, radius: int, sources) -> dict:
                     dist[q] = dist[p] + 1
                     queue.append(q)
     return dist
+
+
+def deep_witnesses_oracle(sc: LatticeScenario) -> tuple[int, tuple]:
+    """Total component count and sorted deep witnesses of ``sc``, the way
+    ``deep_components`` found them before its single-pass rewrite: the
+    subgroup points written into the mask one at a time, then one scan
+    of the whole box per deep label and the least of that label's deep
+    cells.  Catalog masks come from the library's own ``_subset_mask``."""
+    n, R = sc.ambient_rank, sc.box_radius
+    if isinstance(sc.subset_spec, SubgroupSpec):
+        subset = np.zeros((2 * R + 1,) * n, dtype=bool)
+        for p in _subgroup_points(sc.subset_spec, n, R):
+            subset[tuple(x + R for x in p)] = True
+    else:
+        subset = _subset_mask(sc)
+    dist = ndimage.distance_transform_cdt(~subset, metric="taxicab")
+    keep = dist > sc.thickening
+    labels, total = ndimage.label(keep, structure=ndimage.generate_binary_structure(n, 1))
+    deep_mask = keep & (dist >= sc.depth)
+    witnesses = []
+    for lab in np.unique(labels[deep_mask]):
+        cells = np.argwhere((labels == lab) & deep_mask)
+        first = min(map(tuple, cells))
+        witnesses.append(tuple(int(x) - R for x in first))
+    return int(total), tuple(sorted(witnesses))
 
 
 def grid_components(points: set):

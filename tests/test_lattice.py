@@ -3,17 +3,21 @@ breadth-first oracle on the same grid."""
 
 from __future__ import annotations
 
+import json
 import random
 
+import numpy as np
 import pytest
 
-from conftest import bfs_distances, box_points, grid_components
+from conftest import bfs_distances, box_points, deep_witnesses_oracle, grid_components
 from raagsplit.errors import InvalidScenarioError, ScenarioTooLargeError
 from raagsplit.lattice import (
+    CATALOG_TAGS,
     DOES_NOT_SEPARATE,
     SEPARATES,
     CatalogSpec,
     LatticeScenario,
+    SeparationReport,
     SubgroupSpec,
     _subgroup_points,
     check_rank_separation,
@@ -51,6 +55,8 @@ def check_against_oracle(sc, subset):
         assert dist[p] >= sc.depth
         home = next(i for i, c in enumerate(comps) if p in c)
         homes.append(home)
+        # the witness is the lexicographically smallest deep cell of its component
+        assert p == min(q for q in comps[home] if dist[q] >= sc.depth)
     assert len(set(homes)) == len(homes)
     return report
 
@@ -133,6 +139,64 @@ class TestOracleCrossCheck:
         sc = LatticeScenario(2, SubgroupSpec(((1, 0), (0, 1))), 6, 1, 2)
         report = check_against_oracle(sc, {p for p in box_points(2, 6)})
         assert report.total_components == 0
+
+
+def _random_scenario(rng: random.Random) -> tuple[LatticeScenario, str]:
+    """A small scenario of rank 1-4 with thickening 0-2; the kind is
+    ``rank0`` (no or only zero generators), ``subgroup`` (random integer
+    generators), ``nonprimitive`` (multiples of vectors) or a catalog tag."""
+    n = rng.randint(1, 4)
+    R = rng.randint(2, (20, 10, 6, 4)[n - 1])
+    L = rng.randint(0, min(2, R - 2))
+    D = rng.randint(1, R - L - 1)
+    kind = rng.choice(("rank0", "subgroup", "nonprimitive", "catalog"))
+    if kind == "catalog":
+        # the half-hyperplane is defined for rank >= 2, as in quasi_density_scenario
+        kind = rng.choice(CATALOG_TAGS if n >= 2 else ("half-line", "hyperplane"))
+        spec = CatalogSpec(kind)
+    elif kind == "rank0":
+        spec = SubgroupSpec(rng.choice(((), ((0,) * n,))))
+    else:
+        gens = []
+        for _ in range(rng.randint(1, n)):
+            v = [rng.randint(-3, 3) for _ in range(n)]
+            if kind == "nonprimitive":
+                factor = rng.randint(2, 3)
+                v = [factor * x for x in (v if any(v) else [1] * n)]
+            gens.append(v)
+        spec = SubgroupSpec(gens)
+    return LatticeScenario(n, spec, R, L, D), kind
+
+
+class TestWitnessDifferential:
+    """Single-pass witnesses against the per-label loop they replaced,
+    kept in conftest as ``deep_witnesses_oracle``."""
+
+    def test_seeded_scenarios(self):
+        rng = random.Random(0x1A77)
+        ranks, thickenings, kinds, deep_counts = set(), set(), set(), set()
+        for _ in range(400):
+            sc, kind = _random_scenario(rng)
+            total, witnesses = deep_witnesses_oracle(sc)
+            expect = SeparationReport(total, len(witnesses), witnesses, sc)
+            # JSON text, so numpy integers in the report would not compare equal
+            got = json.dumps(report_to_dict(deep_components(sc)))
+            assert got == json.dumps(report_to_dict(expect)), scenario_to_dict(sc)
+            ranks.add(sc.ambient_rank)
+            thickenings.add(sc.thickening)
+            kinds.add(kind)
+            deep_counts.add(min(len(witnesses), 3))
+        assert ranks == {1, 2, 3, 4} and thickenings == {0, 1, 2}
+        assert kinds == {"rank0", "subgroup", "nonprimitive", *CATALOG_TAGS}
+        assert deep_counts == {0, 1, 2, 3}
+
+    def test_witness_order_is_not_label_order(self):
+        # the component below the line holds the box's first cell, so it
+        # gets the first label, but its deep cells start later in C order
+        sc = LatticeScenario(2, SubgroupSpec(((2, 1),)), 14, 1, 12)
+        report = deep_components(sc)
+        assert report.deep_witnesses == ((-14, 5), (-5, -14))
+        assert (report.total_components, report.deep_witnesses) == deep_witnesses_oracle(sc)
 
 
 class TestSubgroupPoints:
@@ -319,6 +383,17 @@ class TestScenarioValidation:
     def test_cell_cap(self):
         with pytest.raises(ScenarioTooLargeError):
             LatticeScenario(4, SubgroupSpec(((1, 0, 0, 0),)), 40, 1, 8)
+
+    def test_subgroup_entries_not_coerced(self):
+        # truncating with int() would give ((1, 0), (1, 3))
+        with pytest.raises(InvalidScenarioError):
+            SubgroupSpec([(1.7, 0), (True, "3")])
+        for bad in (True, np.bool_(False), 1.0, "3", None):
+            with pytest.raises(InvalidScenarioError):
+                SubgroupSpec([(bad, 0)])
+        spec = SubgroupSpec([(np.int64(2), np.int32(-1))])
+        assert spec.generators == ((2, -1),)
+        assert all(type(x) is int for x in spec.generators[0])
 
     def test_subset_spec_type(self):
         with pytest.raises(InvalidScenarioError):

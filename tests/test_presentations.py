@@ -93,6 +93,16 @@ class TestPresentation:
             with pytest.raises(InvalidArgumentError):
                 Presentation(("a",), [(("a", exp),)])
 
+    def test_non_string_names_rejected(self):
+        # coercing with str() would give < 1, 2.0 | [1,2.0] >
+        with pytest.raises(InvalidArgumentError):
+            Presentation((1, 2.0), [((1, 1), ("2.0", 1), (1, -1), (2.0, -1))])
+        # string generators, but letters that only match them after str()
+        with pytest.raises(InvalidArgumentError):
+            Presentation(("1", "2.0"), [((1, 1), ("2.0", 1), (1, -1), (2.0, -1))])
+        with pytest.raises(InvalidArgumentError):
+            Presentation(("a",), [((["a"], 1),)])
+
     def test_text(self):
         assert Presentation(("a", "b"), [commutator("a", "b")]).text() == "< a, b | [a,b] >"
         assert Presentation(("a", "b")).text() == "< a, b | >"
