@@ -16,6 +16,11 @@ Entry points:
 * :mod:`raagsplit.presentations` for presentations and amalgams
 * :mod:`raagsplit.lattice` for the lattice experiments
 * :mod:`raagsplit.formats` and :mod:`raagsplit.cli` for I/O
+
+The graph layers and the graph commands import neither numpy nor scipy.
+:mod:`raagsplit.lattice` and the ``lattice`` command need both, so the
+package imports the lattice module on first use of a lattice name such
+as ``LatticeScenario`` or ``deep_components``.
 """
 
 __version__ = "0.1.0"
@@ -64,16 +69,29 @@ from .presentations import (
     star_split,
     verify_star_split,
 )
-from .lattice import (
-    CatalogSpec,
-    LatticeScenario,
-    SeparationReport,
-    SubgroupSpec,
-    check_rank_separation,
-    deep_components,
-    quasi_density_check,
-)
 from .formats import GraphDocument, parse_graph, serialize_graph
+
+_LATTICE_NAMES = (
+    "CatalogSpec",
+    "LatticeScenario",
+    "SeparationReport",
+    "SubgroupSpec",
+    "check_rank_separation",
+    "deep_components",
+    "quasi_density_check",
+)
+
+
+def __getattr__(name):
+    if name in _LATTICE_NAMES:
+        from . import lattice
+
+        return getattr(lattice, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LATTICE_NAMES))
 
 __all__ = [
     "__version__",

@@ -25,7 +25,6 @@ from .ccd import CcdTree, complete_cut_decomposition, graph_of_groups
 from .errors import RaagsplitError
 from .formats import FORMATS, parse_graph
 from .graphs import Graph
-from .lattice import deep_components, report_to_dict, scenario_from_dict
 from .presentations import (
     Amalgam,
     Presentation,
@@ -187,6 +186,9 @@ def _run(args) -> tuple[dict, int]:
     digest = hashlib.sha256(raw).hexdigest()
 
     if args.command == "lattice":
+        # numpy and scipy load here, so graph commands start without them
+        from .lattice import deep_components, report_to_dict, scenario_from_dict
+
         try:
             scenario_doc = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

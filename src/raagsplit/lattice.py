@@ -80,6 +80,8 @@ class LatticeScenario:
     depth: int = 8
 
     def __post_init__(self):
+        for name in ("ambient_rank", "box_radius", "thickening", "depth"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         n, R, L, D = self.ambient_rank, self.box_radius, self.thickening, self.depth
         if not 1 <= n <= MAX_AMBIENT_RANK:
             raise InvalidScenarioError(
@@ -110,6 +112,8 @@ class LatticeScenario:
                     f"unknown catalog tag {self.subset_spec.tag!r}; "
                     f"known: {', '.join(CATALOG_TAGS)}"
                 )
+            if self.subset_spec.tag == "half-hyperplane" and n < 2:
+                raise InvalidScenarioError("the half-hyperplane needs ambient rank >= 2")
         else:
             raise InvalidScenarioError("subset_spec must be a subgroup or a catalog entry")
         if (2 * R + 1) ** n > MAX_BOX_CELLS:
@@ -157,41 +161,52 @@ def _echelon_basis(generators: Sequence[Point]) -> list[list[int]]:
     return basis
 
 
-def _subgroup_points(spec: SubgroupSpec, n: int, radius: int) -> list[Point]:
-    """All subgroup elements inside [-R, R]ⁿ.
+def _subgroup_points(spec: SubgroupSpec, n: int, radius: int) -> np.ndarray:
+    """All subgroup elements inside [-R, R]ⁿ, as the rows of a (k, n)
+    int64 array.
 
-    Enumerates integer combinations of the echelon basis.  Because the
-    basis is triangular, the coefficient of each basis vector is pinned
-    to the exact integer interval that keeps its pivot coordinate
-    inside the box, so each point is produced exactly once.
+    Enumerates integer combinations of the echelon basis, one array pass
+    per basis vector.  Because the basis is triangular, the coefficient
+    of each basis vector is pinned to the exact integer interval that
+    keeps its pivot coordinate inside the box, so each point is produced
+    exactly once.  Partial sums run in int64 when the bound from
+    ``_partial_bound`` fits, and in Python ints (dtype object) otherwise.
     """
     basis = _echelon_basis(spec.generators)
-    points: list[Point] = []
-    partial = [0] * n
-
-    def walk(level: int, fixed_below: int) -> None:
-        if level == len(basis):
-            if all(-radius <= x <= radius for x in partial):
-                points.append(tuple(partial))
-            return
-        vec = basis[level]
+    dtype = np.int64 if _partial_bound(basis, radius) < 2**62 else object
+    points = np.zeros((1, n), dtype=dtype)
+    fixed_below = 0
+    for vec in basis:
         pivot_col = next(i for i, x in enumerate(vec) if x)
         # columns before this pivot are final from here on
-        if any(not -radius <= partial[i] <= radius for i in range(fixed_below, pivot_col)):
-            return
+        points = points[_in_box(points[:, fixed_below:pivot_col], radius)]
         step = vec[pivot_col]
         # step > 0: ceil((-R - p)/step) and floor((R - p)/step)
-        lo = -((radius + partial[pivot_col]) // step)
-        hi = (radius - partial[pivot_col]) // step
-        for c in range(lo, hi + 1):
-            for i in range(pivot_col, n):
-                partial[i] += c * vec[i]
-            walk(level + 1, pivot_col)
-            for i in range(pivot_col, n):
-                partial[i] -= c * vec[i]
+        lo = -((radius + points[:, pivot_col]) // step)
+        hi = (radius - points[:, pivot_col]) // step
+        counts = (hi - lo + 1).astype(np.intp)
+        # each row's coefficients lo, lo + 1, ..., hi, rows kept in order
+        offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        coef = np.repeat(lo, counts) + offsets.astype(dtype)
+        points = np.repeat(points, counts, axis=0) + coef[:, None] * np.array(vec, dtype=dtype)
+        fixed_below = pivot_col
+    return points[_in_box(points, radius)].astype(np.int64)
 
-    walk(0, 0)
-    return points
+
+def _partial_bound(basis: list[list[int]], radius: int) -> int:
+    """Bound on the absolute value of every number ``_subgroup_points``
+    forms: coordinates, coefficients and interval ends."""
+    bound = 0
+    for vec in basis:
+        step = next(x for x in vec if x)
+        coef = (radius + bound) // step + 1
+        bound += coef * max(abs(x) for x in vec)
+    return bound + radius
+
+
+def _in_box(points: np.ndarray, radius: int) -> np.ndarray:
+    """Row mask: every coordinate of the row lies in [-R, R]."""
+    return ((points >= -radius) & (points <= radius)).all(axis=1)
 
 
 def _subset_mask(sc: LatticeScenario) -> np.ndarray:
@@ -200,7 +215,7 @@ def _subset_mask(sc: LatticeScenario) -> np.ndarray:
     mask = np.zeros(shape, dtype=bool)
     spec = sc.subset_spec
     if isinstance(spec, SubgroupSpec):
-        mask[tuple(np.array(_subgroup_points(spec, n, R)).T + R)] = True
+        mask[tuple((_subgroup_points(spec, n, R) + R).T)] = True
         return mask
     tag = spec.tag
     if tag == "half-line":

@@ -3,9 +3,9 @@
 The oracles here deliberately avoid the library's own algorithms so
 they can catch systematic mistakes: separator checks run on plain
 adjacency sets, lattice distances come from multi-source BFS.
-``minimal_separators_enumeration_oracle``, ``verify_star_split_oracle``
-and ``deep_witnesses_oracle`` are instead the code that a rewrite
-replaced, kept to test the new code differentially.
+``minimal_separators_enumeration_oracle``, ``verify_star_split_oracle``,
+``subgroup_points_oracle`` and ``deep_witnesses_oracle`` are instead the
+code that a rewrite replaced, kept to test the new code differentially.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from scipy import ndimage
 
 from raagsplit.errors import InvalidAmalgamError
 from raagsplit.graphs import Graph
-from raagsplit.lattice import LatticeScenario, SubgroupSpec, _subgroup_points, _subset_mask
+from raagsplit.lattice import LatticeScenario, SubgroupSpec, _echelon_basis, _subset_mask
 from raagsplit.presentations import (
     SUFFIX_AMBIENT,
     SUFFIX_STAR,
@@ -363,6 +363,40 @@ def bfs_distances(n: int, radius: int, sources) -> dict:
     return dist
 
 
+def subgroup_points_oracle(spec: SubgroupSpec, n: int, radius: int) -> list:
+    """All subgroup elements inside [-R, R]ⁿ, the way ``_subgroup_points``
+    found them before its whole-array rewrite: a recursive walk over the
+    coefficients of the echelon basis, each pinned to the interval that
+    keeps its pivot coordinate inside the box."""
+    basis = _echelon_basis(spec.generators)
+    points = []
+    partial = [0] * n
+
+    def walk(level: int, fixed_below: int) -> None:
+        if level == len(basis):
+            if all(-radius <= x <= radius for x in partial):
+                points.append(tuple(partial))
+            return
+        vec = basis[level]
+        pivot_col = next(i for i, x in enumerate(vec) if x)
+        # columns before this pivot are final from here on
+        if any(not -radius <= partial[i] <= radius for i in range(fixed_below, pivot_col)):
+            return
+        step = vec[pivot_col]
+        # step > 0: ceil((-R - p)/step) and floor((R - p)/step)
+        lo = -((radius + partial[pivot_col]) // step)
+        hi = (radius - partial[pivot_col]) // step
+        for c in range(lo, hi + 1):
+            for i in range(pivot_col, n):
+                partial[i] += c * vec[i]
+            walk(level + 1, pivot_col)
+            for i in range(pivot_col, n):
+                partial[i] -= c * vec[i]
+
+    walk(0, 0)
+    return points
+
+
 def deep_witnesses_oracle(sc: LatticeScenario) -> tuple[int, tuple]:
     """Total component count and sorted deep witnesses of ``sc``, the way
     ``deep_components`` found them before its single-pass rewrite: the
@@ -372,7 +406,7 @@ def deep_witnesses_oracle(sc: LatticeScenario) -> tuple[int, tuple]:
     n, R = sc.ambient_rank, sc.box_radius
     if isinstance(sc.subset_spec, SubgroupSpec):
         subset = np.zeros((2 * R + 1,) * n, dtype=bool)
-        for p in _subgroup_points(sc.subset_spec, n, R):
+        for p in subgroup_points_oracle(sc.subset_spec, n, R):
             subset[tuple(x + R for x in p)] = True
     else:
         subset = _subset_mask(sc)

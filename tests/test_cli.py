@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -297,6 +301,17 @@ class TestLattice:
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(doc, schema_for("scenario"))
 
+    def test_rank_one_half_hyperplane_rejected(self, files, capsys):
+        # _subset_mask used to index the 1-D box with two indices
+        bad = files["dir"] / "half_hyperplane_rank1.json"
+        bad.write_text(
+            '{"ambient_rank": 1, "subset_spec": {"kind": "catalog", "tag": "half-hyperplane"}, '
+            '"box_radius": 8}'
+        )
+        code, out, err = run(capsys, ["lattice", str(bad)])
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert "rank >= 2" in err
+
     def test_integral_float_accepted_like_the_schema(self, files, capsys):
         # JSON Schema's "integer" admits 3.0, so the parser does too
         doc = json.loads(SCENARIO)
@@ -311,6 +326,51 @@ class TestLattice:
         assert scenario["box_radius"] == 16 and scenario["depth"] == 3
         assert scenario["subset_spec"]["generators"] == [[1, 0]]
         assert all(isinstance(x, int) for x in (scenario["box_radius"], scenario["depth"]))
+
+
+COLD_IMPORT = """
+import sys
+
+import raagsplit.cli
+
+assert raagsplit.cli.main(["decide", "-n", "1", sys.argv[1]]) == 0
+loaded = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+assert not loaded, f"graph command imported {loaded}"
+
+import raagsplit
+
+names = {
+    "CatalogSpec",
+    "LatticeScenario",
+    "SeparationReport",
+    "SubgroupSpec",
+    "check_rank_separation",
+    "deep_components",
+    "quasi_density_check",
+}
+assert names <= set(dir(raagsplit))
+scope = {}
+exec("from raagsplit import *", scope)
+assert names <= set(scope) and names <= set(raagsplit.__all__)
+assert raagsplit.LatticeScenario is sys.modules["raagsplit.lattice"].LatticeScenario
+print("ok")
+"""
+
+
+class TestColdImport:
+    def test_graph_commands_skip_numpy_and_scipy(self, files):
+        src = str(Path(raagsplit.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_IMPORT, files["p2.json"]],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("ok\n")
 
 
 class TestInputHandling:

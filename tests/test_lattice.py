@@ -8,8 +8,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import bfs_distances, box_points, deep_witnesses_oracle, grid_components
+from conftest import (
+    bfs_distances,
+    box_points,
+    deep_witnesses_oracle,
+    grid_components,
+    subgroup_points_oracle,
+)
 from raagsplit.errors import InvalidScenarioError, ScenarioTooLargeError
 from raagsplit.lattice import (
     CATALOG_TAGS,
@@ -199,42 +207,64 @@ class TestWitnessDifferential:
         assert (report.total_components, report.deep_witnesses) == deep_witnesses_oracle(sc)
 
 
+def subgroup_rows(spec, n, radius):
+    """The rows of ``_subgroup_points`` as tuples."""
+    points = _subgroup_points(spec, n, radius)
+    assert points.shape == (len(points), n) and points.dtype == np.int64
+    return [tuple(p) for p in points.tolist()]
+
+
+@st.composite
+def subgroup_cases(draw):
+    """Rank 1-4, radius 1-10, and up to four generators: random entries,
+    negative and zero included, a dependent combination of the others,
+    and huge entries: past int64, or inside it with products that are not."""
+    n = draw(st.integers(1, 4))
+    radius = draw(st.integers(1, 10))
+    entry = st.one_of(st.integers(-6, 6), st.sampled_from([10**30, -(10**30), 2**61]))
+    gens = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=3))
+    if gens and draw(st.booleans()):
+        coefs = draw(st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens)))
+        gens.append([sum(c * v[i] for c, v in zip(coefs, gens)) for i in range(n)])
+    return SubgroupSpec(gens), n, radius
+
+
 class TestSubgroupPoints:
     def test_axis(self):
-        pts = _subgroup_points(SubgroupSpec(((1, 0),)), 2, 5)
+        pts = subgroup_rows(SubgroupSpec(((1, 0),)), 2, 5)
         assert set(pts) == {(x, 0) for x in range(-5, 6)}
 
     def test_redundant_generators(self):
-        pts = _subgroup_points(SubgroupSpec(((2, 0), (-2, 0))), 2, 5)
+        pts = subgroup_rows(SubgroupSpec(((2, 0), (-2, 0))), 2, 5)
         assert set(pts) == {(x, 0) for x in range(-4, 5, 2)}
 
     def test_zero_generator(self):
-        assert set(_subgroup_points(SubgroupSpec(((0, 0),)), 2, 3)) == {(0, 0)}
+        assert set(subgroup_rows(SubgroupSpec(((0, 0),)), 2, 3)) == {(0, 0)}
 
     def test_no_generators(self):
-        assert set(_subgroup_points(SubgroupSpec(()), 2, 3)) == {(0, 0)}
+        assert set(subgroup_rows(SubgroupSpec(()), 2, 3)) == {(0, 0)}
 
     def test_dependent_spanning_set(self):
-        pts = _subgroup_points(SubgroupSpec(((1, 0), (0, 1), (1, 1))), 2, 2)
+        pts = subgroup_rows(SubgroupSpec(((1, 0), (0, 1), (1, 1))), 2, 2)
         assert set(pts) == set(box_points(2, 2))
 
     def test_index_two_sublattice(self):
-        pts = _subgroup_points(SubgroupSpec(((1, 1), (1, -1))), 2, 3)
+        pts = subgroup_rows(SubgroupSpec(((1, 1), (1, -1))), 2, 3)
         assert set(pts) == {p for p in box_points(2, 3) if (p[0] + p[1]) % 2 == 0}
 
     def test_one_dimensional_gcd(self):
-        assert set(_subgroup_points(SubgroupSpec(((3,),)), 1, 7)) == {
+        assert set(subgroup_rows(SubgroupSpec(((3,),)), 1, 7)) == {
             (x,) for x in range(-6, 7, 3)
         }
-        assert set(_subgroup_points(SubgroupSpec(((2,), (3,))), 1, 4)) == {
+        assert set(subgroup_rows(SubgroupSpec(((2,), (3,))), 1, 4)) == {
             (x,) for x in range(-4, 5)
         }
 
     def test_generator_outside_box(self):
-        assert set(_subgroup_points(SubgroupSpec(((100, 0),)), 2, 10)) == {(0, 0)}
+        assert set(subgroup_rows(SubgroupSpec(((100, 0),)), 2, 10)) == {(0, 0)}
 
     def test_no_duplicates(self):
-        pts = _subgroup_points(SubgroupSpec(((1, 1), (2, 0))), 2, 6)
+        pts = subgroup_rows(SubgroupSpec(((1, 1), (2, 0))), 2, 6)
         assert len(pts) == len(set(pts))
 
     def test_random_full_rank_pairs(self):
@@ -254,8 +284,28 @@ class TestSubgroupPoints:
                 c2 = g1[0] * p[1] - g1[1] * p[0]
                 if c1 % det == 0 and c2 % det == 0:
                     expected.add(p)
-            got = set(_subgroup_points(SubgroupSpec((g1, g2)), 2, radius))
+            got = set(subgroup_rows(SubgroupSpec((g1, g2)), 2, radius))
             assert got == expected, (g1, g2, radius)
+
+    def test_huge_entry_scenario(self):
+        # only the origin is in the box, so everything off it stays connected
+        sc = LatticeScenario(2, SubgroupSpec(((1, 10**30),)), 8, 1, 2)
+        assert subgroup_rows(sc.subset_spec, 2, 8) == [(0, 0)]
+        report = deep_components(sc)
+        assert (report.total_components, report.deep_components) == (1, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(subgroup_cases())
+    @example((SubgroupSpec(((1, 10**30), (2, -(10**30) + 1))), 2, 10))
+    @example((SubgroupSpec(((1, 2**61),)), 2, 10))
+    @example((SubgroupSpec(((1, 1, 0, 0), (0, 1, 1, 0), (1, 2, 1, 0))), 4, 10))
+    def test_matches_recursive_walk(self, case):
+        """Whole-array passes against the recursive walk they replaced,
+        kept in conftest as ``subgroup_points_oracle``."""
+        spec, n, radius = case
+        got = subgroup_rows(spec, n, radius)
+        assert len(got) == len(set(got))
+        assert set(got) == set(subgroup_points_oracle(spec, n, radius))
 
 
 class TestVerdicts:
@@ -398,6 +448,32 @@ class TestScenarioValidation:
     def test_subset_spec_type(self):
         with pytest.raises(InvalidScenarioError):
             LatticeScenario(2, "half-line", 8, 1, 2)
+
+    def test_bool_rank_rejected(self):
+        # would run as rank 1
+        with pytest.raises(InvalidScenarioError, match="ambient_rank"):
+            LatticeScenario(True, SubgroupSpec(((1,),)), 8, 1, 2)
+
+    def test_float_thickening_rejected(self):
+        with pytest.raises(InvalidScenarioError, match="thickening"):
+            LatticeScenario(2, SubgroupSpec(((1, 0),)), 8, 1.5, 2)
+
+    def test_float_radius_rejected(self):
+        # used to pass validation and fail in deep_components with a TypeError
+        with pytest.raises(InvalidScenarioError, match="box_radius"):
+            LatticeScenario(2, SubgroupSpec(((1, 0),)), 8.5, 1, 2)
+
+    def test_numpy_integer_fields_normalized(self):
+        sc = LatticeScenario(
+            np.int64(2), SubgroupSpec(((1, 0),)), np.int32(8), np.int8(1), np.uint16(2)
+        )
+        assert sc == LatticeScenario(2, SubgroupSpec(((1, 0),)), 8, 1, 2)
+        assert all(type(x) is int for x in (sc.ambient_rank, sc.box_radius, sc.thickening, sc.depth))
+
+    def test_half_hyperplane_needs_rank_two(self):
+        with pytest.raises(InvalidScenarioError, match="rank >= 2"):
+            LatticeScenario(1, CatalogSpec("half-hyperplane"), 8, 1, 2)
+        LatticeScenario(2, CatalogSpec("half-hyperplane"), 8, 1, 2)
 
 
 class TestSerialization:
