@@ -15,20 +15,38 @@ contain the cut.
 
 A note on cut search: every separating subset of a clique is itself a
 clique, so a minimum-size complete cut can never contain a smaller
-separator.  Minimum-size complete cuts are therefore exactly the
-minimum-size members of ``minimal_clique_separators``, which reads them
-off an MCS-M minimal triangulation in O(nm) per piece (Berry, Blair,
-Heggernes, Peyton, Algorithmica 39, 2004; Berry, Pogorelcnik, Simonet,
-Algorithms 3(2), 2010), so each cut choice is polynomial.
+separator, and the minimum-size complete cuts of a piece are minimum-size
+clique minimal separators of it.  Clique minimal separators do not
+cross, so those of each piece are clique minimal separators of the
+ambient graph (Leimer, "Optimal decomposition by clique separators",
+Discrete Math. 113, 1993; Berry, Pogorelcnik, Simonet, "An introduction
+to clique minimal separator decomposition", Algorithms 3(2), 2010).
+The ambient graph's one MCS-M run, in O(nm), therefore lists every cut
+the recursion can need among its madj sets: the cut of a piece is the
+smallest of those candidates inside it whose removal disconnects it,
+and pieces stay vertex masks of the ambient graph throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import kernels
 from .errors import DisconnectedGraphError, InternalInvariantError, InvalidCcdError
-from .graphs import Graph, VertexSet
-from .presentations import Presentation, raag_presentation
+from .graphs import Graph, VertexSet, _mask_to_set
+from .presentations import Presentation, _raag_on
+# unused here, but perfbench's tracer test reads ``ccd.raag_presentation``
+from .presentations import raag_presentation  # noqa: F401
+
+
+def _node_id(x, what: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InvalidCcdError(f"{what} must be an int, got {x!r}")
+    return x
+
+
+def _vertex_tuple(vs) -> VertexSet:
+    return tuple(sorted({_node_id(v, "vertex id") for v in vs}))
 
 
 @dataclass(frozen=True)
@@ -45,12 +63,12 @@ class CcdTree:
     cuts: tuple[VertexSet, ...]
 
     def __init__(self, pieces, tree_edges=(), cuts=()):
-        pcs = tuple(tuple(sorted(set(int(v) for v in p))) for p in pieces)
+        pcs = tuple(_vertex_tuple(p) for p in pieces)
         if not pcs:
             raise InvalidCcdError("a decomposition tree needs at least one node")
         edges = []
         for e in tree_edges:
-            r, s = (int(x) for x in e)
+            r, s = (_node_id(x, "tree edge end") for x in e)
             if not (0 <= r < len(pcs) and 0 <= s < len(pcs)) or r == s:
                 raise InvalidCcdError(f"tree edge {e!r} is not a pair of distinct node ids")
             edges.append((min(r, s), max(r, s)))
@@ -70,7 +88,7 @@ class CcdTree:
                     frontier.append(other)
         if len(seen) != len(pcs):
             raise InvalidCcdError("tree edges do not connect all nodes")
-        cts = tuple(tuple(sorted(set(int(v) for v in c))) for c in cuts)
+        cts = tuple(_vertex_tuple(c) for c in cuts)
         if len(cts) != len(edges):
             raise InvalidCcdError("need exactly one cut per tree edge")
         for (r, s), cut in zip(edges, cts):
@@ -116,38 +134,39 @@ class GraphOfGroups:
     ]
 
 
-def _smallest_complete_cut(sub: Graph) -> VertexSet | None:
-    seps = sub.minimal_clique_separators()
-    if not seps:
-        return None
-    return min(seps, key=lambda s: (len(s), s))
-
-
-def _decompose(g: Graph, piece: VertexSet):
-    sub = g.induced_subgraph(piece)
-    cut_rel = _smallest_complete_cut(sub)
-    if cut_rel is None:
+def _decompose(g: Graph, cands: list[int], piece: int):
+    """Pieces, tree edges and cuts of the decomposition of g[piece], all
+    as vertex masks of g; ``cands`` is g's candidate list."""
+    adj = g.adjacency_masks
+    cut = next(
+        (
+            c
+            for c in cands
+            if c & ~piece == 0 and not kernels.is_connected_bits(adj, piece & ~c)
+        ),
+        None,
+    )
+    if cut is None:
         return [piece], [], []
-    cut = tuple(piece[i] for i in cut_rel)
-    comps = sub.induced_complement_components(cut_rel)
-    half1 = sorted(set(cut_rel) | set(comps[0]))
-    half2 = sorted(set(cut_rel).union(*comps[1:]))
-    pieces, edges, cuts = _decompose(g, tuple(piece[i] for i in half1))
+    rest = piece & ~cut
+    first = kernels.component_bits(adj, rest, rest & -rest)
+    pieces, edges, cuts = _decompose(g, cands, cut | first)
     offset = len(pieces)
-    rp, re, rc = _decompose(g, tuple(piece[i] for i in half2))
+    rp, re, rc = _decompose(g, cands, piece & ~first)
     pieces += rp
     edges += [(r + offset, s + offset) for r, s in re]
     cuts += rc
 
-    cut_set = set(cut)
     attach = []
     for lo, hi in ((0, offset), (offset, len(pieces))):
         found = next(
-            (i for i in range(lo, hi) if cut_set < set(pieces[i])), None
+            (i for i in range(lo, hi) if cut & ~pieces[i] == 0 and cut != pieces[i]),
+            None,
         )
         if found is None:
             raise InternalInvariantError(
-                f"no piece in subtree [{lo}, {hi}) properly contains the cut {cut}"
+                f"no piece in subtree [{lo}, {hi}) properly contains the cut "
+                f"{_mask_to_set(cut)}"
             )
         attach.append(found)
     edges.append((attach[0], attach[1]))
@@ -168,8 +187,14 @@ def complete_cut_decomposition(g: Graph) -> CcdTree:
             "complete-cut-decomposition needs a connected non-empty graph; "
             "decompose free-product factors separately"
         )
-    pieces, edges, cuts = _decompose(g, g.vertices())
-    return CcdTree(tuple(pieces), tuple(edges), tuple(cuts))
+    pieces, edges, cuts = _decompose(
+        g, g._clique_separator_candidates(), (1 << g.n) - 1
+    )
+    return CcdTree(
+        tuple(_mask_to_set(p) for p in pieces),
+        tuple(edges),
+        tuple(_mask_to_set(c) for c in cuts),
+    )
 
 
 def validate_ccd(g: Graph, t: CcdTree) -> CcdValidation:
@@ -178,7 +203,7 @@ def validate_ccd(g: Graph, t: CcdTree) -> CcdValidation:
     failures = []
     limit = g.n
     for p in t.pieces + t.cuts:
-        if any(v >= limit for v in p):
+        if any(not 0 <= v < limit for v in p):
             return CcdValidation(
                 False, False, False,
                 (f"vertex set {p} references vertices outside the graph",),
@@ -233,8 +258,8 @@ def graph_of_groups(g: Graph, t: CcdTree) -> GraphOfGroups:
             "tree is not a complete-cut-decomposition of the graph: "
             + "; ".join(report.failures)
         )
-    vertex_groups = tuple(raag_presentation(g.induced_subgraph(p)) for p in t.pieces)
-    edge_groups = tuple(raag_presentation(g.induced_subgraph(c)) for c in t.cuts)
+    vertex_groups = tuple(_raag_on(g, p) for p in t.pieces)
+    edge_groups = tuple(_raag_on(g, c) for c in t.cuts)
     inclusions = tuple(
         (
             tuple((x, x) for x in g.labels_of(c)),

@@ -118,12 +118,18 @@ def _ccd_json(g: Graph, t: CcdTree) -> dict:
     }
 
 
+def _dot_label(g: Graph, s) -> str:
+    """The labels of ``s`` joined by commas, escaped for a quoted DOT
+    string."""
+    return ",".join(g.labels_of(s)).replace("\\", "\\\\").replace('"', '\\"')
+
+
 def _ccd_dot(g: Graph, t: CcdTree) -> str:
     lines = ["graph ccd {", "  node [shape=box];"]
     for i, p in enumerate(t.pieces):
-        lines.append(f'  n{i} [label="{",".join(g.labels_of(p))}"];')
+        lines.append(f'  n{i} [label="{_dot_label(g, p)}"];')
     for (r, s), cut in zip(t.tree_edges, t.cuts):
-        lines.append(f'  n{r} -- n{s} [label="{",".join(g.labels_of(cut))}"];')
+        lines.append(f'  n{r} -- n{s} [label="{_dot_label(g, cut)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

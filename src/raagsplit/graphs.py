@@ -290,6 +290,29 @@ class Graph:
                 madj[u] |= vbit
         return madj
 
+    def _clique_separator_candidates(self) -> list[int]:
+        """The madj masks of the graph's one MCS-M run that are non-empty
+        cliques and separate the graph, without repeats, ordered by size
+        and then by sorted vertex tuple.
+
+        Every clique minimal separator of the graph is among them, and so
+        is every clique minimal separator of each piece of a
+        decomposition along clique minimal separators, since those do
+        not cross (Leimer, "Optimal decomposition by clique separators",
+        Discrete Math. 113, 1993; Berry, Pogorelcnik, Simonet 2010).
+        """
+        if "cands" not in self._cache:
+            kept = [
+                s
+                for s in set(self._mcs_m_madj())
+                if s
+                and self._is_clique_mask(s)
+                and not kernels.is_connected_bits(self._adj, self._full & ~s)
+            ]
+            kept.sort(key=lambda s: (s.bit_count(), _mask_to_set(s)))
+            self._cache["cands"] = kept
+        return self._cache["cands"]
+
     def minimal_clique_separators(self) -> list[VertexSet]:
         """All inclusion-minimal vertex sets that are cliques and separate
         the graph, in lexicographic order.
@@ -301,8 +324,8 @@ class Graph:
         Pogorelcnik, Simonet, "An introduction to clique minimal
         separator decomposition", Algorithms 3(2), 2010), at most n - 1
         of them.  H comes from MCS-M in O(nm), and every minimal
-        separator of H is one of its madj sets; the madj sets that are
-        cliques here and separate are filtered down to the
+        separator of H is one of its madj sets; the candidates of
+        :meth:`_clique_separator_candidates` are filtered down to the
         inclusion-minimal ones.
 
         >>> Graph(["a", "b", "c"], [("a", "b"), ("b", "c")]).minimal_clique_separators()
@@ -312,13 +335,7 @@ class Graph:
             if not self.is_connected():
                 self._cache["mcs"] = [()]
             else:
-                kept = [
-                    s
-                    for s in set(self._mcs_m_madj())
-                    if s
-                    and self._is_clique_mask(s)
-                    and not kernels.is_connected_bits(self._adj, self._full & ~s)
-                ]
+                kept = self._clique_separator_candidates()
                 self._cache["mcs"] = sorted(
                     _mask_to_set(s)
                     for s in kept

@@ -185,12 +185,20 @@ def _raag_on(g: Graph, keep: VertexSet, suffix: str = "") -> Presentation:
     """Canonical presentation of A(g[keep]) with ``suffix`` appended to
     every generator name: one generator per vertex of the sorted set
     ``keep``, one commutator relator per edge of g inside it, both in
-    vertex order."""
+    vertex order.  The edges come from walking each kept vertex's
+    adjacency mask restricted to the later kept vertices, so the cost
+    follows the size of g[keep], not of g."""
     names = {i: g.labels[i] + suffix for i in keep}
-    return Presentation(
-        names.values(),
-        [commutator(names[i], names[j]) for i, j in g.edges() if i in names and j in names],
-    )
+    mask = g._mask_of(keep)
+    adj = g.adjacency_masks
+    relators = []
+    for i in keep:
+        later = adj[i] & mask & ~((2 << i) - 1)
+        while later:
+            low = later & -later
+            later ^= low
+            relators.append(commutator(names[i], names[low.bit_length() - 1]))
+    return Presentation(names.values(), relators)
 
 
 def raag_presentation(g: Graph) -> Presentation:

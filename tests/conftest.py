@@ -3,9 +3,10 @@
 The oracles here deliberately avoid the library's own algorithms so
 they can catch systematic mistakes: separator checks run on plain
 adjacency sets, lattice distances come from multi-source BFS.
-``minimal_separators_enumeration_oracle``, ``verify_star_split_oracle``,
-``subgroup_points_oracle`` and ``deep_witnesses_oracle`` are instead the
-code that a rewrite replaced, kept to test the new code differentially.
+``minimal_separators_enumeration_oracle``, ``ccd_recursion_oracle``,
+``verify_star_split_oracle``, ``subgroup_points_oracle`` and
+``deep_witnesses_oracle`` are instead the code that a rewrite replaced,
+kept to test the new code differentially.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from raagsplit.ccd import CcdTree
 from raagsplit.errors import InvalidAmalgamError
 from raagsplit.graphs import Graph
 from raagsplit.lattice import LatticeScenario, SubgroupSpec, _echelon_basis, _subset_mask
@@ -205,6 +207,40 @@ def minimal_separators_enumeration_oracle(g: Graph):
         if not any(t != s and t & ~s == 0 for t in cands)
     ]
     return sorted(out)
+
+
+def ccd_recursion_oracle(g: Graph) -> CcdTree:
+    """The recursion ``complete_cut_decomposition`` ran before it read
+    every cut off the ambient graph's one MCS-M run: build each piece as
+    an induced subgraph, run ``minimal_clique_separators`` on it, cut
+    along the smallest, and translate local indices back."""
+
+    def decompose(piece):
+        sub = g.induced_subgraph(piece)
+        seps = sub.minimal_clique_separators()
+        if not seps:
+            return [piece], [], []
+        cut_rel = min(seps, key=lambda s: (len(s), s))
+        cut = tuple(piece[i] for i in cut_rel)
+        comps = sub.induced_complement_components(cut_rel)
+        half1 = sorted(set(cut_rel) | set(comps[0]))
+        half2 = sorted(set(cut_rel).union(*comps[1:]))
+        pieces, edges, cuts = decompose(tuple(piece[i] for i in half1))
+        offset = len(pieces)
+        rp, re, rc = decompose(tuple(piece[i] for i in half2))
+        pieces += rp
+        edges += [(r + offset, s + offset) for r, s in re]
+        cuts += rc
+        attach = [
+            next(i for i in range(lo, hi) if set(cut) < set(pieces[i]))
+            for lo, hi in ((0, offset), (offset, len(pieces)))
+        ]
+        edges.append((attach[0], attach[1]))
+        cuts.append(cut)
+        return pieces, edges, cuts
+
+    pieces, edges, cuts = decompose(g.vertices())
+    return CcdTree(tuple(pieces), tuple(edges), tuple(cuts))
 
 
 # star-split reference: the replay ``verify_star_split`` ran before

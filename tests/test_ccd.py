@@ -7,7 +7,12 @@ import random
 
 import pytest
 
-from conftest import random_connected_graph, separates_oracle
+from conftest import (
+    ccd_recursion_oracle,
+    connected_graphs,
+    random_connected_graph,
+    separates_oracle,
+)
 from raagsplit.ccd import (
     CcdTree,
     complete_cut_decomposition,
@@ -16,6 +21,7 @@ from raagsplit.ccd import (
 )
 from raagsplit.errors import DisconnectedGraphError, InvalidCcdError
 from raagsplit.graphs import Graph, complete_graph, cycle_graph, path_graph
+from raagsplit.presentations import raag_presentation
 
 
 def tri_pendant():
@@ -99,6 +105,21 @@ class TestTreeStructure:
         with pytest.raises(InvalidCcdError):
             CcdTree(((0, 1), (1, 2)), ((0, 1),), ())
 
+    @pytest.mark.parametrize(
+        "pieces, edges, cuts",
+        [
+            ([(0, 1.7), (1, 2)], [(0, 1)], [(1,)]),
+            ([(0, True), (1, 2)], [(0, 1)], [(1,)]),
+            ([("0", 1), (1, 2)], [(0, 1)], [(1,)]),
+            ([(0, 1), (1, 2)], [(0, 1.0)], [(1,)]),
+            ([(0, 1), (1, 2)], [(False, 1)], [(1,)]),
+            ([(0, 1), (1, 2)], [(0, 1)], [(1.0,)]),
+        ],
+    )
+    def test_ids_must_be_ints(self, pieces, edges, cuts):
+        with pytest.raises(InvalidCcdError):
+            CcdTree(pieces, edges, cuts)
+
     def test_edge_orientation_normalized(self):
         t = CcdTree(((0, 1), (1, 2)), ((1, 0),), ((1,),))
         assert t.tree_edges == ((0, 1),)
@@ -131,9 +152,12 @@ class TestValidate:
         assert not rep.cuts_are_proper_complete_cuts
 
     def test_reports_never_raise_on_foreign_tree(self):
-        g = path_graph("ab")
-        rep = validate_ccd(g, CcdTree(((5, 6),)))
-        assert not rep.passed
+        for g, t in [
+            (path_graph("ab"), CcdTree(((5, 6),))),
+            (path_graph("abc"), CcdTree([(-1, 0, 1), (1, 2)], [(0, 1)], [(1,)])),
+        ]:
+            rep = validate_ccd(g, t)
+            assert not rep.passed
 
 
 class TestGraphOfGroups:
@@ -194,3 +218,50 @@ class TestRandomised:
 
             trivial = len(t.pieces) == 1
             assert trivial == (not g.minimal_clique_separators())
+
+
+def _differential_corpus():
+    """All 772 connected labelled graphs with at most 5 vertices, then
+    1,000 seeded connected graphs with 7 to 16 vertices."""
+    for n in range(1, 6):
+        yield from connected_graphs(n)
+    rng = random.Random(7_2026)
+    for _ in range(1000):
+        yield random_connected_graph(rng, rng.randint(7, 16))
+
+
+class TestOnePassDifferential:
+    def test_matches_recursion_oracle(self):
+        count = 0
+        for g in _differential_corpus():
+            assert complete_cut_decomposition(g) == ccd_recursion_oracle(g), g.edges()
+            count += 1
+        assert count == 772 + 1000
+
+    def test_groups_match_induced_presentations(self):
+        rng = random.Random(31)
+        graphs = [g for n in range(1, 6) for g in connected_graphs(n)]
+        graphs += [random_connected_graph(rng, rng.randint(7, 16)) for _ in range(200)]
+        for g in graphs:
+            t = complete_cut_decomposition(g)
+            gog = graph_of_groups(g, t)
+            assert gog.vertex_groups == tuple(
+                raag_presentation(g.induced_subgraph(p)) for p in t.pieces
+            )
+            assert gog.edge_groups == tuple(
+                raag_presentation(g.induced_subgraph(c)) for c in t.cuts
+            )
+
+    def test_one_mcs_m_run_per_decomposition(self, monkeypatch):
+        calls = []
+        original = Graph._mcs_m_madj
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Graph, "_mcs_m_madj", counted)
+        g = path_graph([f"v{i}" for i in range(12)])
+        t = complete_cut_decomposition(g)
+        assert len(t.pieces) == 11
+        assert calls == [g]

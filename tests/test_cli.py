@@ -184,6 +184,22 @@ class TestCcd:
         assert 'label="a,b"' in text and 'label="b,c"' in text
         assert '[label="b"]' in text
 
+    def test_dot_escapes_quotes_and_backslashes(self, files, capsys):
+        graph = {
+            "vertices": ['a"x', "b\\y", "c"],
+            "edges": [['a"x', "b\\y"], ["b\\y", "c"]],
+        }
+        src = files["dir"] / "quoted.json"
+        src.write_text(json.dumps(graph))
+        dot_path = files["dir"] / "quoted.dot"
+        code, _, _ = run(capsys, ["ccd", "--dot", str(dot_path), str(src)])
+        assert code == 0
+        assert dot_path.read_text().splitlines()[2:5] == [
+            '  n0 [label="a\\"x,b\\\\y"];',
+            '  n1 [label="b\\\\y,c"];',
+            '  n0 -- n1 [label="b\\\\y"];',
+        ]
+
     def test_disconnected_rejected(self, files, capsys):
         code, _, err = run(capsys, ["ccd", files["parts.txt"]])
         assert code == 2 and err.startswith("error:")
