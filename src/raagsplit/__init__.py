@@ -67,6 +67,7 @@ from .presentations import (
     normalizer_of_special,
     raag_presentation,
     star_split,
+    verify_amalgam,
     verify_star_split,
 )
 from .formats import GraphDocument, parse_graph, serialize_graph
@@ -120,6 +121,7 @@ __all__ = [
     "normalizer_of_special",
     "direct_amalgam",
     "star_split",
+    "verify_amalgam",
     "verify_star_split",
     "LatticeScenario",
     "SubgroupSpec",

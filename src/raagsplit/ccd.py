@@ -134,43 +134,60 @@ class GraphOfGroups:
     ]
 
 
-def _decompose(g: Graph, cands: list[int], piece: int):
-    """Pieces, tree edges and cuts of the decomposition of g[piece], all
-    as vertex masks of g; ``cands`` is g's candidate list."""
-    adj = g.adjacency_masks
-    cut = next(
-        (
-            c
-            for c in cands
-            if c & ~piece == 0 and not kernels.is_connected_bits(adj, piece & ~c)
-        ),
-        None,
-    )
-    if cut is None:
-        return [piece], [], []
-    rest = piece & ~cut
-    first = kernels.component_bits(adj, rest, rest & -rest)
-    pieces, edges, cuts = _decompose(g, cands, cut | first)
-    offset = len(pieces)
-    rp, re, rc = _decompose(g, cands, piece & ~first)
-    pieces += rp
-    edges += [(r + offset, s + offset) for r, s in re]
-    cuts += rc
+def _decompose(g: Graph, cands: list[int], whole: int):
+    """Pieces, tree edges and cuts of the decomposition of g[whole], all
+    as vertex masks of g; ``cands`` is g's candidate list.
 
-    attach = []
-    for lo, hi in ((0, offset), (offset, len(pieces))):
-        found = next(
-            (i for i in range(lo, hi) if cut & ~pieces[i] == 0 and cut != pieces[i]),
+    Each piece with a cut splits into the cut plus its first component
+    and the rest.  The pieces are listed leaf by leaf, left half first,
+    and each cut's tree edge follows the edges of both its halves, which
+    joins the first piece of each half that properly contains the cut.
+    The walk keeps its own stack, so its depth is not bounded by
+    Python's recursion limit.
+    """
+    adj = g.adjacency_masks
+    pieces, edges, cuts = [], [], []
+    # an int is a piece still to split; a cut's [cut, start] record is
+    # pushed twice, and gains the start of its second half when it first
+    # comes off the stack
+    stack = [whole]
+    while stack:
+        top = stack.pop()
+        if isinstance(top, list):
+            if len(top) == 2:
+                top.append(len(pieces))
+                continue
+            cut, start, middle = top
+            attach = []
+            for lo, hi in ((start, middle), (middle, len(pieces))):
+                found = next(
+                    (i for i in range(lo, hi) if cut & ~pieces[i] == 0 and cut != pieces[i]),
+                    None,
+                )
+                if found is None:
+                    raise InternalInvariantError(
+                        f"no piece in subtree [{lo}, {hi}) properly contains the cut "
+                        f"{_mask_to_set(cut)}"
+                    )
+                attach.append(found)
+            edges.append((attach[0], attach[1]))
+            cuts.append(cut)
+            continue
+        cut = next(
+            (
+                c
+                for c in cands
+                if c & ~top == 0 and not kernels.is_connected_bits(adj, top & ~c)
+            ),
             None,
         )
-        if found is None:
-            raise InternalInvariantError(
-                f"no piece in subtree [{lo}, {hi}) properly contains the cut "
-                f"{_mask_to_set(cut)}"
-            )
-        attach.append(found)
-    edges.append((attach[0], attach[1]))
-    cuts.append(cut)
+        if cut is None:
+            pieces.append(top)
+            continue
+        rest = top & ~cut
+        first = kernels.component_bits(adj, rest, rest & -rest)
+        record = [cut, len(pieces)]
+        stack += [record, top & ~first, record, cut | first]
     return pieces, edges, cuts
 
 

@@ -128,8 +128,13 @@ class Graph:
         return tuple(self._labels[i] for i in self.vertex_set(s))
 
     def vertex_set(self, s: Iterable[int]) -> VertexSet:
-        """Normalize an iterable of indices to a sorted, distinct tuple."""
-        out = sorted(set(s))
+        """Normalize an iterable of indices to a sorted, distinct tuple.
+        Every index must be an int and not a bool; nothing is coerced."""
+        items = tuple(s)
+        for v in items:
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise InvalidVertexError(f"vertex index must be an int, got {v!r}")
+        out = sorted(set(items))
         if out and (out[0] < 0 or out[-1] >= self.n):
             bad = out[0] if out[0] < 0 else out[-1]
             raise InvalidVertexError(f"vertex index {bad} out of range")

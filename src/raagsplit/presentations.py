@@ -25,12 +25,14 @@ Amalgam constructions:
   every other edge generator maps to its suffixed copy.  The square is
   what keeps the first embedding non-surjective, hence the splitting
   non-trivial.
-* :func:`verify_star_split` replays the rewriting argument for that
-  amalgam: eliminate the ``_2`` copies of star generators through the
-  identification relators, relabel, bring each relator to the
-  presentation normal form, discard each commutator of a power whose
-  base commutator is already present, and compare with the canonical
-  presentation of A(g).
+* :func:`verify_amalgam` replays the rewriting argument for either
+  amalgam: eliminate each identified factor-2 generator through the
+  identification relators, relabel (no suffix for a direct amalgam,
+  ``_1`` and ``_2`` stripped for a star split), read every relator as
+  a commutator pair, and require the plain pairs to be exactly the
+  edges of g and every commutator of powers to have its base pair
+  among them.  :func:`verify_star_split` accepts star splits only and
+  runs the same replay.
 """
 
 from __future__ import annotations
@@ -303,87 +305,101 @@ def _check_amalgam(a: Amalgam) -> None:
                 _check_letter(gen, exp, scope, InvalidAmalgamError, f"{name}[{e!r}]")
 
 
-def verify_star_split(g: Graph, a: Amalgam) -> bool:
-    """Replay the star-split rewriting and compare with A(g)'s canonical
-    presentation.
+def _is_square(w: Word) -> bool:
+    return len(w) == 2 and w[0] == w[1] and w[0][1] == 1
+
+
+def verify_amalgam(g: Graph, a: Amalgam) -> bool:
+    """Replay the rewriting that turns the amalgam ``a`` into A(g).
 
     Builds the amalgam's full presentation (both factors' relators plus
     the identifications embed1(e) = embed2(e)), eliminates each
-    factor-2 copy of a star generator, relabels by stripping the fixed
-    suffixes, brings each relator to the :class:`Presentation` normal
-    form, drops every commutator of a power whose base commutator is
-    present, and returns whether the relator set equals the one of
-    :func:`raag_presentation`.
+    identified factor-2 generator by substituting its embed1 word, and
+    relabels the surviving generators by the amalgam's naming scheme.
+    Then every relator must be a commutator x^p y^q x^-p y^-q.  The
+    plain ones (p, q = ±1), as unordered label pairs, must be exactly
+    the edges of g, and each commutator of powers must have its base
+    pair among them, since it follows from that commutator.
 
-    The rewriting is only the documented one when exactly one edge
-    generator embeds as a square of a single factor-1 generator and all
-    remaining identification words are single generators; any other
-    shape returns False.  Structurally broken amalgams (embeddings off
-    their factors, non-unit exponents, colliding names) raise
+    Two shapes are replayed; any other returns False:
+
+    * a direct amalgam (:func:`direct_amalgam`): the factors share
+      exactly the edge generators and both embeddings are identity on
+      them; names are kept as they are;
+    * a star split (:func:`star_split`): the factor names are disjoint,
+      exactly one edge generator embeds as a square of a single
+      factor-1 generator, the other embed1 words and every embed2 word
+      are single generators; the suffixes ``_1`` and ``_2`` are
+      stripped.
+
+    Structurally broken amalgams (embeddings off their factors,
+    non-unit exponents, repeated edge generators) raise
     InvalidAmalgamError.
+
+    >>> from .graphs import path_graph
+    >>> g = path_graph("abc")
+    >>> verify_amalgam(g, direct_amalgam(g, (1,))), verify_amalgam(g, star_split(g, 0))
+    (True, True)
     """
     _check_amalgam(a)
     f1gens = a.factor1.generators
     f2gens = a.factor2.generators
-    f1set = set(f1gens)
-    if f1set & set(f2gens):
-        raise InvalidAmalgamError("factor generator names overlap")
-
-    embed1 = {e: free_reduce(a.embed1[e]) for e in a.edge_generators}
-    squares = 0
-    for w in embed1.values():
-        if len(w) == 2 and w[0] == w[1] and w[0][1] == 1:
-            squares += 1
-        elif not (len(w) == 1 and w[0][1] == 1):
-            return False
-    if squares != 1:
+    edge_gens = a.edge_generators
+    embed1 = {e: free_reduce(a.embed1[e]) for e in edge_gens}
+    embed2 = {e: free_reduce(a.embed2[e]) for e in edge_gens}
+    shared = set(f1gens) & set(f2gens)
+    identity = {e: ((e, 1),) for e in edge_gens}
+    if shared == set(edge_gens) and embed1 == identity == embed2:
+        suffix1 = suffix2 = ""
+    elif shared or sum(map(_is_square, embed1.values())) != 1:
         return False
-
-    targets = {}
-    for e in a.edge_generators:
-        w = free_reduce(a.embed2[e])
-        if len(w) != 1 or w[0][1] != 1:
-            return False
-        targets[e] = w[0][0]
-    if len(set(targets.values())) != len(targets):
-        return False
+    else:
+        suffix1, suffix2 = SUFFIX_STAR, SUFFIX_AMBIENT
 
     # Tietze eliminations: each identified factor-2 generator becomes its
     # embed1 word
-    table = {targets[e]: embed1[e] for e in a.edge_generators}
-    combined = list(a.factor1.relators) + [_substitute(w, table) for w in a.factor2.relators]
-    survivors = list(f1gens) + [x for x in f2gens if x not in table]
+    table = {}
+    for e in edge_gens:
+        w1, w2 = embed1[e], embed2[e]
+        if not (_is_square(w1) or len(w1) == 1 and w1[0][1] == 1):
+            return False
+        if len(w2) != 1 or w2[0][1] != 1 or w2[0][0] in table:
+            return False
+        table[w2[0][0]] = w1
 
+    survivors = [(x, suffix1) for x in f1gens] + [(x, suffix2) for x in f2gens if x not in table]
     relabel = {}
-    for x in survivors:
-        suffix = SUFFIX_STAR if x in f1set else SUFFIX_AMBIENT
+    for x, suffix in survivors:
         if not x.endswith(suffix):
             return False
-        relabel[x] = x[: -len(suffix)]
-    if len(set(relabel.values())) != len(relabel):
+        relabel[x] = x[: len(x) - len(suffix)]
+    if sorted(relabel.values()) != sorted(g.labels):
         return False
 
-    target = raag_presentation(g)
-    if sorted(relabel.values()) != sorted(target.generators):
-        return False
-    order = {x: i for i, x in enumerate(target.generators)}
-
-    kept: set[Word] = set()
-    powers = []
-    for w in combined:
-        w = _normalize_relator([(relabel[x], e) for x, e in w], order)
+    plain, powers = set(), set()
+    for w in a.factor1.relators + tuple(_substitute(w, table) for w in a.factor2.relators):
         if not w:
             continue
         pair = _commutator_pair(w)
         if pair is None:
             return False
-        if len(w) == 4:
-            kept.add(w)
-        else:
-            powers.append(pair)
+        (plain if len(w) == 4 else powers).add(frozenset(relabel[x] for x in pair))
+    edges = {frozenset((g.labels[i], g.labels[j])) for i, j in g.edges()}
+    return plain == edges and powers <= plain
 
-    # commutation of a power follows from commutation of the base
-    if any(_normalize_relator(commutator(*pair), order) not in kept for pair in powers):
+
+def verify_star_split(g: Graph, a: Amalgam) -> bool:
+    """Replay a star split (:func:`star_split`) with
+    :func:`verify_amalgam`.
+
+    Raises InvalidAmalgamError when the factors share a generator name,
+    and returns False unless exactly one edge generator embeds as a
+    square on the star side, so a direct amalgam never passes as a star
+    split.
+    """
+    _check_amalgam(a)
+    if set(a.factor1.generators) & set(a.factor2.generators):
+        raise InvalidAmalgamError("factor generator names overlap")
+    if sum(_is_square(free_reduce(a.embed1[e])) for e in a.edge_generators) != 1:
         return False
-
-    return kept == set(target.relators)
+    return verify_amalgam(g, a)

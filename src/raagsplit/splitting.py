@@ -96,6 +96,15 @@ class SplittingWitness:
         raise InternalInvariantError(f"unknown witness kind {self.kind!r}")
 
 
+def _check_rank(n) -> None:
+    """Raise InvalidRankError unless ``n`` is a non-negative int that is
+    not a bool."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise InvalidRankError(f"rank must be an int, got {n!r}")
+    if n < 0:
+        raise InvalidRankError(f"rank must be non-negative, got {n}")
+
+
 def extend_clique_to_rank(g: Graph, s, n: int) -> Optional[VertexSet]:
     """Grow the clique ``s`` to a clique of size ``n`` through its link.
 
@@ -106,6 +115,7 @@ def extend_clique_to_rank(g: Graph, s, n: int) -> Optional[VertexSet]:
     s = g.vertex_set(s)
     if not g.is_clique(s):
         raise NotACliqueError(f"{g.labels_of(s)} is not a clique")
+    _check_rank(n)
     if n < len(s):
         raise InvalidRankError(f"rank {n} is below the clique size {len(s)}")
     linkmask = 0
@@ -129,8 +139,7 @@ def splits_over_rank(g: Graph, n: int) -> Optional[SplittingWitness]:
     otherwise K is exactly one piece, every vertex of K beyond S has
     star K, and the witness is a star split.
     """
-    if n < 0:
-        raise InvalidRankError(f"rank must be non-negative, got {n}")
+    _check_rank(n)
     if g.is_complete() and g.n == n + 1:
         return SplittingWitness(kind=HNN_COMPLETE, rank=n, clique=g.vertices())
     for sep in g.minimal_clique_separators():
@@ -205,8 +214,7 @@ def brute_force_splits(g: Graph, n: int) -> bool:
     its own adjacency scans and its own stack-based connectivity search,
     sharing no search shortcut with the witness procedure.
     """
-    if n < 0:
-        raise InvalidRankError(f"rank must be non-negative, got {n}")
+    _check_rank(n)
     adj = g.adjacency_masks
     nv = g.n
     full = (1 << nv) - 1

@@ -58,6 +58,12 @@ class TestDecompose:
         assert sorted(t.pieces) == [(0, 1), (1, 2), (2, 3), (3, 4)]
         assert sorted(t.cuts) == [(1,), (2,), (3,)]
 
+    def test_path_longer_than_the_recursion_limit(self):
+        g = path_graph([f"v{i}" for i in range(1100)])
+        t = complete_cut_decomposition(g)
+        assert len(t.pieces) == 1099
+        assert validate_ccd(g, t).passed
+
     def test_empty_graph_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             complete_cut_decomposition(Graph(()))

@@ -65,6 +65,14 @@ class TestConstruction:
         with pytest.raises(InvalidVertexError):
             g.vertex_set([-1])
 
+    @pytest.mark.parametrize("bad", [[True, 2], [1, True], [1.0], [2, 1.0], ["1"], [None]])
+    def test_vertex_set_takes_only_ints(self, bad):
+        g = path_graph("abcd")
+        with pytest.raises(InvalidVertexError):
+            g.vertex_set(bad)
+        with pytest.raises(InvalidVertexError):
+            g.is_clique(bad)
+
     def test_builders(self):
         assert complete_graph(3).edges() == [(0, 1), (0, 2), (1, 2)]
         assert path_graph(4).edges() == [(0, 1), (1, 2), (2, 3)]

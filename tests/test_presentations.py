@@ -11,10 +11,12 @@ from conftest import connected_graphs, random_connected_graph, verify_star_split
 from raagsplit.errors import (
     InvalidAmalgamError,
     InvalidArgumentError,
+    InvalidVertexError,
     NotSeparatingCliqueError,
     StarCoversGraphError,
 )
 from raagsplit.graphs import Graph, complete_graph, cycle_graph, path_graph
+from raagsplit.splitting import DIRECT_AMALGAM, STAR_SPLIT, splits_over_rank
 from raagsplit.presentations import (
     SUFFIX_AMBIENT,
     SUFFIX_STAR,
@@ -28,6 +30,7 @@ from raagsplit.presentations import (
     render_word,
     star_split,
     syllables,
+    verify_amalgam,
     verify_star_split,
 )
 
@@ -191,6 +194,11 @@ class TestStarSplit:
         assert a.embed1["b"] == (("b_1", 1),)
         assert a.embed2["a"] == (("a_2", 1),)
         assert a.embed2["b"] == (("b_2", 1),)
+
+    @pytest.mark.parametrize("u", [True, 1.0])
+    def test_vertex_must_be_an_int(self, u):
+        with pytest.raises(InvalidVertexError):
+            star_split(path_graph("abcd"), u)
 
     def test_star_covering_graph_rejected(self):
         with pytest.raises(StarCoversGraphError):
@@ -385,3 +393,138 @@ class TestVerifyStarSplitDifferential:
         # every edit kind ran, and the edits reach all three outcomes
         assert set(seen) == {"drop", "duplicate", "embed", "flip", "rename", "ambient"}
         assert set().union(*seen.values()) >= {True, False, "InvalidAmalgamError"}
+
+
+def _emitted_amalgams(max_n):
+    """The amalgam of every direct-amalgam and star-split witness that
+    ``splits_over_rank`` emits on connected graphs with at most
+    ``max_n`` vertices, with the witness kind."""
+    for n in range(1, max_n + 1):
+        for g in connected_graphs(n):
+            for rank in range(n + 1):
+                w = splits_over_rank(g, rank)
+                if w is not None and w.kind == DIRECT_AMALGAM:
+                    yield g, direct_amalgam(g, w.clique), w.kind
+                elif w is not None and w.kind == STAR_SPLIT:
+                    yield g, star_split(g, w.star_vertex), w.kind
+
+
+def _direct_edit(rng, g, a):
+    """One seeded edit of the direct amalgam ``a`` (or of its ambient
+    graph), or None when the drawn edit does not apply to ``a``."""
+    kind = rng.choice(("drop", "ambient", "rename", "embed"))
+    which = rng.choice(("factor1", "factor2"))
+    factor = getattr(a, which)
+    if kind == "drop":
+        # an edge inside the cut is in both factors, so dropping one copy
+        # loses nothing
+        own = [
+            k for k, w in enumerate(factor.relators)
+            if not {w[0][0], w[1][0]} <= set(a.edge_generators)
+        ]
+        if not own:
+            return None
+        k = rng.choice(own)
+        edited = _edit_relators(factor, lambda rels: rels[:k] + rels[k + 1:])
+        return g, replace(a, **{which: edited}), kind
+    if kind == "ambient":
+        if g.n < 2:
+            return None
+        i, j = sorted(rng.sample(range(g.n), 2))
+        edges = set(g.edges()) ^ {(i, j)}
+        return Graph(g.labels, [(g.labels[x], g.labels[y]) for x, y in edges]), a, kind
+    embed = "embed1" if which == "factor1" else "embed2"
+    if kind == "rename":
+        ren = {rng.choice(factor.generators): "z"}
+
+        def word(w):
+            return tuple((ren.get(x, x), e) for x, e in w)
+
+        edited = Presentation(
+            [ren.get(x, x) for x in factor.generators], [word(w) for w in factor.relators]
+        )
+        # mostly rename inside the embedding too, sometimes leave it off
+        # its factor
+        renamed = {e: word(w) for e, w in getattr(a, embed).items()}
+        if rng.random() < 0.2:
+            renamed = getattr(a, embed)
+        return g, replace(a, **{which: edited, embed: renamed}), kind
+    if len(a.edge_generators) < 2:
+        return None
+    e, other = rng.sample(a.edge_generators, 2)
+    return g, replace(a, **{embed: {**getattr(a, embed), e: ((other, 1),)}}), kind
+
+
+class TestVerifyAmalgam:
+    def test_path_fixtures(self):
+        g = path_graph("abc")
+        assert verify_amalgam(g, direct_amalgam(g, (1,))) is True
+        assert verify_amalgam(g, star_split(g, 0)) is True
+
+    def test_free_product(self):
+        g = Graph("abc", [("a", "b")])
+        assert verify_amalgam(g, direct_amalgam(g, ())) is True
+
+    def test_every_emitted_amalgam_small_graphs(self):
+        kinds = {DIRECT_AMALGAM: 0, STAR_SPLIT: 0}
+        for g, a, kind in _emitted_amalgams(5):
+            assert verify_amalgam(g, a) is True, (kind, g.edges(), a.edge_generators)
+            kinds[kind] += 1
+        assert kinds[DIRECT_AMALGAM] > 1000 and kinds[STAR_SPLIT] > 100, kinds
+
+    def test_star_split_check_refuses_direct_amalgams(self):
+        g = path_graph("abc")
+        with pytest.raises(InvalidAmalgamError):
+            verify_star_split(g, direct_amalgam(g, (1,)))
+        free = Graph("abc", [("a", "b")])
+        assert verify_star_split(free, direct_amalgam(free, ())) is False
+
+    def test_power_without_base_commutator(self):
+        # [a_2, c_2] becomes [a_1 a_1, c] after the elimination: it is
+        # not a consequence of the edges of the path, although the plain
+        # commutators still match them
+        g = path_graph("abc")
+        a = star_split(g, 0)
+        extra = Presentation(
+            a.factor2.generators, a.factor2.relators + (commutator("a_2", "c_2"),)
+        )
+        bad = replace(a, factor2=extra)
+        assert verify_amalgam(g, bad) is False
+        assert verify_star_split(g, bad) is False
+        assert verify_star_split_oracle(g, bad) is False
+
+    def test_suffixed_names_are_not_a_direct_amalgam(self):
+        g = path_graph("abc")
+        a = direct_amalgam(g, (1,))
+
+        def suffixed(p, suffix):
+            return Presentation(
+                [x + suffix for x in p.generators],
+                [tuple((x + suffix, e) for x, e in w) for w in p.relators],
+            )
+
+        bad = replace(
+            a,
+            factor1=suffixed(a.factor1, SUFFIX_STAR),
+            factor2=suffixed(a.factor2, SUFFIX_AMBIENT),
+            embed1={"b": (("b_1", 1),)},
+            embed2={"b": (("b_2", 1),)},
+        )
+        assert verify_amalgam(g, bad) is False
+
+    def test_seeded_direct_edits_never_verify(self):
+        corpus = [(g, a) for g, a, kind in _emitted_amalgams(5) if kind == DIRECT_AMALGAM]
+        rng = random.Random(0xD1EC7)
+        seen, outcomes = {}, set()
+        while sum(seen.values()) < 3000:
+            g, a = rng.choice(corpus)
+            edit = _direct_edit(rng, g, a)
+            if edit is None:
+                continue
+            h, edited, kind = edit
+            outcome = _outcome(verify_amalgam, h, edited)
+            assert outcome is False or outcome is InvalidAmalgamError, (kind, g.edges(), edited)
+            seen[kind] = seen.get(kind, 0) + 1
+            outcomes.add(outcome)
+        assert set(seen) == {"drop", "ambient", "rename", "embed"}
+        assert outcomes == {False, InvalidAmalgamError}

@@ -52,6 +52,11 @@ class TestExtendClique:
         with pytest.raises(InvalidRankError):
             extend_clique_to_rank(path_graph("abc"), (0, 1), 1)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "2", None, -1])
+    def test_rank_must_be_a_non_negative_int(self, n):
+        with pytest.raises(InvalidRankError):
+            extend_clique_to_rank(path_graph("abcd"), (1,), n)
+
     def test_lexicographically_first_extension(self):
         # two extensions of {v2}: {v0,v2} and {v2,v3}; lex order picks v0
         g = Graph("abcd", [("a", "c"), ("c", "d")])
@@ -94,6 +99,12 @@ class TestSplitsOverRank:
     def test_negative_rank(self):
         with pytest.raises(InvalidRankError):
             splits_over_rank(path_graph("abc"), -1)
+
+    @pytest.mark.parametrize("n", [1.5, 2.0, True, False, "2", None])
+    def test_rank_must_be_an_int(self, n):
+        # a bool or float rank must not run as the int it equals
+        with pytest.raises(InvalidRankError):
+            splits_over_rank(path_graph("abcd"), n)
 
     def test_relabeling_equivariance(self):
         rng = random.Random(404)
@@ -182,6 +193,11 @@ class TestOracle:
     def test_disconnected_pair_plus_vertex(self):
         g = Graph("abc", [("a", "b")])
         assert brute_force_splits(g, 1)  # S empty, K a single vertex
+
+    @pytest.mark.parametrize("n", [1.5, 2.0, True, "2", None, -1])
+    def test_rank_must_be_a_non_negative_int(self, n):
+        with pytest.raises(InvalidRankError):
+            brute_force_splits(path_graph("abcd"), n)
 
     def test_exhaustive_equivalence_small(self):
         for n_verts in range(6):
