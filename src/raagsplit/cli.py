@@ -49,12 +49,16 @@ def _max_vertices() -> int:
     raw = os.environ.get("RAAGSPLIT_MAX_VERTICES")
     if raw is None:
         return DEFAULT_MAX_VERTICES
-    try:
-        return int(raw)
-    except ValueError:
-        raise RaagsplitError(
-            f"RAAGSPLIT_MAX_VERTICES must be an integer, got {raw!r}"
-        ) from None
+    # ASCII digits only: int() would also take spaces, underscores, a
+    # sign and non-ASCII digits
+    if raw.isascii() and raw.isdigit():
+        try:
+            return int(raw)
+        except ValueError:  # past int()'s limit on digits
+            pass
+    raise RaagsplitError(
+        f"RAAGSPLIT_MAX_VERTICES must be a non-negative integer in decimal digits, got {raw!r}"
+    )
 
 
 def _word_json(word) -> list:

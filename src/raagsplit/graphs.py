@@ -41,6 +41,9 @@ def _mask_to_set(mask: int) -> VertexSet:
 class Graph:
     """An undirected simple graph with ordered, labeled vertices.
 
+    Every vertex label and edge endpoint must be a str; nothing is
+    coerced, so ``Graph([1])`` raises InvalidVertexError.
+
     >>> g = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
     >>> g.n
     3
@@ -51,14 +54,18 @@ class Graph:
     """
 
     def __init__(self, vertices: Sequence[str], edges: Iterable[tuple[str, str]] = ()):
-        labels = tuple(str(v) for v in vertices)
+        labels = tuple(vertices)
+        for v in labels:
+            if not isinstance(v, str):
+                raise InvalidVertexError(f"vertex labels must be strings, got {v!r}")
         if len(set(labels)) != len(labels):
             raise InvalidVertexError("duplicate vertex label")
         index = {v: i for i, v in enumerate(labels)}
         adj = [0] * len(labels)
         seen = set()
         for a, b in edges:
-            a, b = str(a), str(b)
+            if not (isinstance(a, str) and isinstance(b, str)):
+                raise InvalidVertexError(f"edge endpoints must be strings, got {(a, b)!r}")
             if a not in index:
                 raise InvalidVertexError(f"unknown edge endpoint {a!r}")
             if b not in index:
@@ -352,10 +359,14 @@ class Graph:
 # -- builders --------------------------------------------------------------
 
 
-def _labels_arg(arg) -> list[str]:
+def _labels_arg(arg) -> list:
+    """``v0`` .. ``v{n-1}`` for an int ``n``, else the given labels as
+    they are; :class:`Graph` refuses any label that is not a str."""
+    if isinstance(arg, bool):
+        raise InvalidVertexError(f"expected a vertex count or labels, got {arg!r}")
     if isinstance(arg, int):
         return [f"v{i}" for i in range(arg)]
-    return [str(v) for v in arg]
+    return list(arg)
 
 
 def complete_graph(vertices) -> Graph:

@@ -1,17 +1,26 @@
 """Presentation-level constructions for right-angled Artin groups.
 
-Words are tuples of ``(generator, exponent)`` letters; every generator
-is a str and every exponent is the integer 1 or -1 (not a bool, not a
-float); nothing is coerced.  A
-:class:`Presentation` checks every letter, keeps its relators freely
-reduced and stores every commutator relator in the normal form
-``[x, y]`` = x y x⁻¹ y⁻¹ with x before y in generator order, so
-presentations built along different routes compare syntactically.
+At the public API words are tuples of ``(generator, exponent)``
+letters; every generator is a str and every exponent is the integer 1
+or -1 (not a bool, not a float); nothing is coerced.  A
+:class:`Presentation` checks every letter it is given, keeps its
+relators freely reduced and stores every commutator relator in the
+normal form ``[x, y]`` = x y x⁻¹ y⁻¹ with x before y in generator
+order, so presentations built along different routes compare
+syntactically.
+
+Inside a presentation each relator is stored as a tuple of signed
+generator codes: generator k is the letter ``k + 1`` and its inverse
+``-(k + 1)``, so ``[x, y]`` on generators 0 and 1 is ``(1, 2, -1, -2)``.
+Equality and hashing compare the generators and these codes;
+:attr:`Presentation.relators`, :meth:`Presentation.text` and the CLI
+decode to labelled words only at that boundary.
 
 Every presentation of A(g[S]) for a vertex subset S (the whole group,
-the factors of both amalgams) comes from one private function that
-reads the edges of g inside S and names each generator by its vertex
-label plus an optional suffix.
+the factors of both amalgams, the groups of a graph of groups) comes
+from one private function that reads the edges of g inside S, names
+each generator by its vertex label plus an optional suffix, and writes
+each edge's commutator already coded and in normal form.
 
 Amalgam constructions:
 
@@ -31,14 +40,16 @@ Amalgam constructions:
   ``_1`` and ``_2`` stripped for a star split), read every relator as
   a commutator pair, and require the plain pairs to be exactly the
   edges of g and every commutator of powers to have its base pair
-  among them.  :func:`verify_star_split` accepts star splits only and
-  runs the same replay.
+  among them.  The replay runs on vertex codes: each surviving
+  generator becomes its vertex index plus one, each eliminated one its
+  coded embed1 word.  :func:`verify_star_split` accepts star splits
+  only and runs the same replay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     InvalidAmalgamError,
@@ -50,6 +61,7 @@ from .graphs import Graph, VertexSet
 
 Letter = tuple[str, int]
 Word = tuple[Letter, ...]
+_Code = tuple[int, ...]  # letter k + 1 or -(k + 1) for generator k
 
 SUFFIX_STAR = "_1"
 SUFFIX_AMBIENT = "_2"
@@ -90,27 +102,41 @@ def syllables(word: Sequence[Letter]) -> tuple[tuple[str, int], ...]:
     return tuple(p for p in out if p[1] != 0)
 
 
-def _commutator_pair(word: Word) -> Optional[tuple[str, str]]:
-    """The (x, y) of a freely reduced word of shape x^p y^q x^-p y^-q,
-    else None.  A plain commutator is the case of length 4."""
-    syl = syllables(word)
+def _reduce_codes(word: Iterable[int]) -> _Code:
+    """:func:`free_reduce` on a coded word: cancel adjacent ``c, -c``."""
+    out: list[int] = []
+    for c in word:
+        if out and out[-1] == -c:
+            out.pop()
+        else:
+            out.append(c)
+    return tuple(out)
+
+
+def _code_pair(word: Sequence[int]) -> Optional[tuple[int, int]]:
+    """The generator codes (x, y) of a freely reduced coded word of shape
+    x^p y^q x^-p y^-q, else None.  A plain commutator is the case of
+    length 4, read directly; longer words are read as syllables."""
+    if len(word) == 4:
+        a, b, c, d = word
+        if a == -c and b == -d and a != b and a != -b:
+            return abs(a), abs(b)
+        return None
+    # a reduced word's runs never cancel, so no syllable has exponent 0;
+    # c // x is the letter's sign
+    syl: list[list[int]] = []
+    for c in word:
+        x = abs(c)
+        if syl and syl[-1][0] == x:
+            syl[-1][1] += c // x
+        else:
+            syl.append([x, c // x])
     if len(syl) != 4:
         return None
-    (g0, p0), (g1, p1), (g2, p2), (g3, p3) = syl
-    if g0 == g2 and g1 == g3 and g0 != g1 and p0 == -p2 and p1 == -p3:
-        return (g0, g1)
+    (x0, p0), (x1, p1), (x2, p2), (x3, p3) = syl
+    if x0 == x2 and x1 == x3 and x0 != x1 and p0 == -p2 and p1 == -p3:
+        return x0, x1
     return None
-
-
-def _normalize_relator(word: Sequence[Letter], order: Mapping[str, int]) -> Word:
-    reduced = free_reduce(word)
-    pair = _commutator_pair(reduced) if len(reduced) == 4 else None
-    if pair is not None:
-        x, y = pair
-        if order[x] > order[y]:
-            x, y = y, x
-        return commutator(x, y)
-    return reduced
 
 
 def _check_letter(gen, exp, scope, error: type[InvalidArgumentError], where: str) -> None:
@@ -122,12 +148,16 @@ def _check_letter(gen, exp, scope, error: type[InvalidArgumentError], where: str
         raise error(f"{where}: letter exponent must be the integer 1 or -1, got {exp!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Presentation:
-    """A finite presentation with deterministic, normalized relators."""
+    """A finite presentation with deterministic, normalized relators.
+
+    Relators are stored as coded words (see the module docstring);
+    :attr:`relators` decodes them to labelled words.  Two presentations
+    are equal when their generators and coded relators are."""
 
     generators: tuple[str, ...]
-    relators: tuple[Word, ...]
+    _codes: tuple[_Code, ...]
 
     def __init__(self, generators, relators=()):
         gens = tuple(generators)
@@ -135,19 +165,45 @@ class Presentation:
             raise InvalidArgumentError(f"generator names must be strings, got {gens!r}")
         if len(set(gens)) != len(gens):
             raise InvalidArgumentError("duplicate generator name")
-        order = {x: i for i, x in enumerate(gens)}
+        code = {x: i for i, x in enumerate(gens, 1)}
         seen = set()
         normalized = []
         for word in relators:
-            w = [(gen, exp) for gen, exp in word]
-            for gen, exp in w:
-                _check_letter(gen, exp, order, InvalidArgumentError, "relator")
-            w = _normalize_relator(w, order)
+            w = []
+            for gen, exp in word:
+                _check_letter(gen, exp, code, InvalidArgumentError, "relator")
+                w.append(exp * code[gen])
+            w = _reduce_codes(w)
+            pair = _code_pair(w) if len(w) == 4 else None
+            if pair is not None:
+                x, y = sorted(pair)
+                w = (x, y, -x, -y)
             if w and w not in seen:
                 seen.add(w)
                 normalized.append(w)
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "relators", tuple(normalized))
+        object.__setattr__(self, "_codes", tuple(normalized))
+
+    @classmethod
+    def _from_codes(cls, generators: tuple[str, ...], codes: tuple[_Code, ...]) -> "Presentation":
+        """A presentation from distinct str generators and coded relators
+        already in normal form, with no checks."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "generators", generators)
+        object.__setattr__(p, "_codes", codes)
+        return p
+
+    @property
+    def relators(self) -> tuple[Word, ...]:
+        """The relators as labelled words."""
+        gens = self.generators
+        return tuple(
+            tuple((gens[c - 1], 1) if c > 0 else (gens[-c - 1], -1) for c in w)
+            for w in self._codes
+        )
+
+    def __repr__(self) -> str:
+        return f"Presentation(generators={self.generators!r}, relators={self.relators!r})"
 
     def text(self) -> str:
         """Human-readable ``< generators | relators >`` rendering.
@@ -185,22 +241,30 @@ class Amalgam:
 
 def _raag_on(g: Graph, keep: VertexSet, suffix: str = "") -> Presentation:
     """Canonical presentation of A(g[keep]) with ``suffix`` appended to
-    every generator name: one generator per vertex of the sorted set
-    ``keep``, one commutator relator per edge of g inside it, both in
-    vertex order.  The edges come from walking each kept vertex's
-    adjacency mask restricted to the later kept vertices, so the cost
-    follows the size of g[keep], not of g."""
-    names = {i: g.labels[i] + suffix for i in keep}
-    mask = g._mask_of(keep)
+    every generator name: one generator per vertex of ``keep`` in vertex
+    order, one commutator relator per edge of g inside it, in vertex
+    order.  The edges come from walking each kept vertex's adjacency
+    mask restricted to the later kept vertices, so the cost follows the
+    size of g[keep], not of g.  The coded relator of edge (i, j) is
+    (a, b, -a, -b), with a < b the codes of i and j: already in normal
+    form, so nothing is checked or normalised again."""
+    keep = g.vertex_set(keep)
+    code, mask = {}, 0
+    for k, i in enumerate(keep, 1):
+        code[i] = k
+        mask |= 1 << i
     adj = g.adjacency_masks
     relators = []
     for i in keep:
+        a = code[i]
         later = adj[i] & mask & ~((2 << i) - 1)
         while later:
             low = later & -later
             later ^= low
-            relators.append(commutator(names[i], names[low.bit_length() - 1]))
-    return Presentation(names.values(), relators)
+            b = code[low.bit_length() - 1]
+            relators.append((a, b, -a, -b))
+    labels = g.labels
+    return Presentation._from_codes(tuple(labels[i] + suffix for i in keep), tuple(relators))
 
 
 def raag_presentation(g: Graph) -> Presentation:
@@ -277,16 +341,6 @@ def star_split(g: Graph, u: int) -> Amalgam:
     )
 
 
-def _substitute(word: Word, table: Mapping[str, Word]) -> Word:
-    out: list[Letter] = []
-    for gen, exp in word:
-        if gen in table:
-            out.extend(table[gen] if exp == 1 else inverse_word(table[gen]))
-        else:
-            out.append((gen, exp))
-    return free_reduce(out)
-
-
 def _check_amalgam(a: Amalgam) -> None:
     for p in (a.factor1, a.factor2):
         if not isinstance(p, Presentation):
@@ -342,6 +396,13 @@ def verify_amalgam(g: Graph, a: Amalgam) -> bool:
     (True, True)
     """
     _check_amalgam(a)
+    return _replay(g, a)
+
+
+def _replay(g: Graph, a: Amalgam) -> bool:
+    """:func:`verify_amalgam` on an amalgam that passed
+    :func:`_check_amalgam`, on vertex codes: the pairs read off the
+    rewritten relators are compared with ``g.edges()`` as index pairs."""
     f1gens = a.factor1.generators
     f2gens = a.factor2.generators
     edge_gens = a.edge_generators
@@ -367,25 +428,42 @@ def verify_amalgam(g: Graph, a: Amalgam) -> bool:
             return False
         table[w2[0][0]] = w1
 
-    survivors = [(x, suffix1) for x in f1gens] + [(x, suffix2) for x in f2gens if x not in table]
-    relabel = {}
-    for x, suffix in survivors:
-        if not x.endswith(suffix):
-            return False
-        relabel[x] = x[: len(x) - len(suffix)]
-    if sorted(relabel.values()) != sorted(g.labels):
+    # each surviving generator becomes its vertex code, vertex index plus
+    # one; each eliminated one becomes its embed1 word over those codes
+    index = g._index
+    code1 = [_vertex_code(index, x, suffix1) for x in f1gens]
+    subs = [None if x in table else (_vertex_code(index, x, suffix2),) for x in f2gens]
+    found = code1 + [w[0] for w in subs if w is not None]
+    if len(found) != g.n or len(set(found) - {0}) != g.n:
         return False
+    by_label = dict(zip(f1gens, code1))
+    for k, x in enumerate(f2gens):
+        if subs[k] is None:
+            subs[k] = tuple(e * by_label[y] for y, e in table[x])
+    # signed lookups: entry c serves letter c, entry -c its inverse
+    look1 = (0, *code1, *(-c for c in reversed(code1)))
+    look2 = ((), *subs, *(tuple(-c for c in reversed(w)) for w in reversed(subs)))
 
     plain, powers = set(), set()
-    for w in a.factor1.relators + tuple(_substitute(w, table) for w in a.factor2.relators):
+    words = [[look1[c] for c in w] for w in a.factor1._codes]
+    words += [_reduce_codes([c for x in w for c in look2[x]]) for w in a.factor2._codes]
+    for w in words:
         if not w:
             continue
-        pair = _commutator_pair(w)
+        pair = _code_pair(w)
         if pair is None:
             return False
-        (plain if len(w) == 4 else powers).add(frozenset(relabel[x] for x in pair))
-    edges = {frozenset((g.labels[i], g.labels[j])) for i, j in g.edges()}
-    return plain == edges and powers <= plain
+        x, y = pair
+        (plain if len(w) == 4 else powers).add((x - 1, y - 1) if x < y else (y - 1, x - 1))
+    return plain == set(g.edges()) and powers <= plain
+
+
+def _vertex_code(index: Mapping[str, int], x: str, suffix: str) -> int:
+    """Index plus one of the vertex labelled ``x`` without ``suffix``;
+    0 when ``x`` lacks the suffix or no vertex has that label."""
+    if not x.endswith(suffix):
+        return 0
+    return index.get(x[: len(x) - len(suffix)], -1) + 1
 
 
 def verify_star_split(g: Graph, a: Amalgam) -> bool:
@@ -402,4 +480,4 @@ def verify_star_split(g: Graph, a: Amalgam) -> bool:
         raise InvalidAmalgamError("factor generator names overlap")
     if sum(_is_square(free_reduce(a.embed1[e])) for e in a.edge_generators) != 1:
         return False
-    return verify_amalgam(g, a)
+    return _replay(g, a)

@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's own algorithms so
 they can catch systematic mistakes: separator checks run on plain
 adjacency sets, lattice distances come from multi-source BFS.
 ``minimal_separators_enumeration_oracle``, ``ccd_recursion_oracle``,
-``verify_star_split_oracle``, ``subgroup_points_oracle`` and
+``verify_star_split_oracle``, ``verify_amalgam_oracle``,
+``subgroup_points_oracle`` and
 ``deep_witnesses_oracle`` are instead the code that a rewrite replaced,
 kept to test the new code differentially.
 """
@@ -28,6 +29,7 @@ from raagsplit.presentations import (
     SUFFIX_STAR,
     Amalgam,
     Presentation,
+    _check_amalgam as _check_amalgam_strict,
     commutator,
     free_reduce,
     inverse_word,
@@ -374,6 +376,64 @@ def verify_star_split_oracle(g: Graph, a: Amalgam) -> bool:
             return False
 
     return kept == set(target.relators)
+
+
+# amalgam reference: the replay ``verify_amalgam`` ran on labelled words
+# before relators were stored as generator codes; it shares only the
+# package's structural check of the amalgam
+
+
+def _is_square(w) -> bool:
+    return len(w) == 2 and w[0] == w[1] and w[0][1] == 1
+
+
+def verify_amalgam_oracle(g: Graph, a: Amalgam) -> bool:
+    """Reference amalgam replay on labelled words: eliminate, relabel by
+    the shape's suffixes, read every relator as a commutator pair of
+    labels, compare the plain pairs with the edges of g."""
+    _check_amalgam_strict(a)
+    f1gens = a.factor1.generators
+    f2gens = a.factor2.generators
+    edge_gens = a.edge_generators
+    embed1 = {e: free_reduce(a.embed1[e]) for e in edge_gens}
+    embed2 = {e: free_reduce(a.embed2[e]) for e in edge_gens}
+    shared = set(f1gens) & set(f2gens)
+    identity = {e: ((e, 1),) for e in edge_gens}
+    if shared == set(edge_gens) and embed1 == identity == embed2:
+        suffix1 = suffix2 = ""
+    elif shared or sum(map(_is_square, embed1.values())) != 1:
+        return False
+    else:
+        suffix1, suffix2 = SUFFIX_STAR, SUFFIX_AMBIENT
+
+    table = {}
+    for e in edge_gens:
+        w1, w2 = embed1[e], embed2[e]
+        if not (_is_square(w1) or len(w1) == 1 and w1[0][1] == 1):
+            return False
+        if len(w2) != 1 or w2[0][1] != 1 or w2[0][0] in table:
+            return False
+        table[w2[0][0]] = w1
+
+    survivors = [(x, suffix1) for x in f1gens] + [(x, suffix2) for x in f2gens if x not in table]
+    relabel = {}
+    for x, suffix in survivors:
+        if not x.endswith(suffix):
+            return False
+        relabel[x] = x[: len(x) - len(suffix)]
+    if sorted(relabel.values()) != sorted(g.labels):
+        return False
+
+    plain, powers = set(), set()
+    for w in a.factor1.relators + tuple(_substitute(w, table) for w in a.factor2.relators):
+        if not w:
+            continue
+        pair = _power_commutator_pair(w)
+        if pair is None:
+            return False
+        (plain if len(w) == 4 else powers).add(frozenset(relabel[x] for x in pair))
+    edges = {frozenset((g.labels[i], g.labels[j])) for i, j in g.edges()}
+    return plain == edges and powers <= plain
 
 
 # lattice reference: multi-source BFS inside the box is exact for the

@@ -427,6 +427,15 @@ class TestInputHandling:
         code, _, err = run(capsys, ["decide", "-n", "1", files["p2.json"]])
         assert code == 2 and "RAAGSPLIT_MAX_VERTICES" in err
 
+    @pytest.mark.parametrize("raw", [" 3 ", "1_0", "\u0663", "-1", "+3", ""])
+    def test_vertex_cap_takes_only_ascii_digits(self, files, capsys, monkeypatch, raw):
+        monkeypatch.setenv("RAAGSPLIT_MAX_VERTICES", raw)
+        code, out, err = run(capsys, ["decide", "-n", "1", files["p2.json"]])
+        assert code == 2 and out == ""
+        assert err.startswith("error: RAAGSPLIT_MAX_VERTICES must be") and err.count("\n") == 1
+        monkeypatch.setenv("RAAGSPLIT_MAX_VERTICES", "3")
+        assert run(capsys, ["decide", "-n", "1", files["p2.json"]])[0] == 0
+
     def test_usage_errors(self, files, capsys):
         assert run(capsys, ["frobnicate", files["p2.json"]])[0] == 2
         assert run(capsys, ["decide", files["p2.json"]])[0] == 2

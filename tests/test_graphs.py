@@ -73,6 +73,24 @@ class TestConstruction:
         with pytest.raises(InvalidVertexError):
             g.is_clique(bad)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Graph([1, 2.0, True], [(1, 2.0)]),
+            lambda: Graph([1, "1"]),
+            lambda: Graph(["a", None]),
+            lambda: Graph(["a", "b"], [("a", 1)]),
+            lambda: Graph(["1", "b"], [(1, "b")]),
+            lambda: path_graph([1, 2, 3]),
+            lambda: cycle_graph(["a", "b", 3]),
+            lambda: complete_graph(True),
+            lambda: empty_graph([b"a"]),
+        ],
+    )
+    def test_labels_must_be_strs(self, build):
+        with pytest.raises(InvalidVertexError):
+            build()
+
     def test_builders(self):
         assert complete_graph(3).edges() == [(0, 1), (0, 2), (1, 2)]
         assert path_graph(4).edges() == [(0, 1), (1, 2), (2, 3)]

@@ -7,7 +7,12 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import connected_graphs, random_connected_graph, verify_star_split_oracle
+from conftest import (
+    connected_graphs,
+    random_connected_graph,
+    verify_amalgam_oracle,
+    verify_star_split_oracle,
+)
 from raagsplit.errors import (
     InvalidAmalgamError,
     InvalidArgumentError,
@@ -21,6 +26,7 @@ from raagsplit.presentations import (
     SUFFIX_AMBIENT,
     SUFFIX_STAR,
     Presentation,
+    _raag_on,
     commutator,
     direct_amalgam,
     free_reduce,
@@ -528,3 +534,82 @@ class TestVerifyAmalgam:
             outcomes.add(outcome)
         assert set(seen) == {"drop", "ambient", "rename", "embed"}
         assert outcomes == {False, InvalidAmalgamError}
+
+
+class TestCodedWords:
+    """Relators are stored as generator codes.  ``_raag_on`` writes them
+    without the validating constructor, and ``verify_amalgam`` replays on
+    vertex codes; both are tied here to the label-word routes they
+    replaced: the constructor, and ``verify_amalgam_oracle``."""
+
+    def test_raag_on_matches_validating_constructor(self):
+        built = 0
+        for n in range(1, 6):
+            for g in connected_graphs(n):
+                edges = g.edges()
+                for bits in range(1 << n):
+                    keep = tuple(i for i in range(n) if bits >> i & 1)
+                    inside = [(i, j) for i, j in edges if bits >> i & 1 and bits >> j & 1]
+                    for suffix in ("", SUFFIX_STAR, SUFFIX_AMBIENT):
+                        name = {i: g.labels[i] + suffix for i in keep}
+                        # every other commutator written backwards, for the
+                        # constructor to reorder
+                        rels = [
+                            commutator(name[i], name[j]) if k % 2 else commutator(name[j], name[i])
+                            for k, (i, j) in enumerate(inside)
+                        ]
+                        fast = _raag_on(g, keep, suffix)
+                        slow = Presentation(list(name.values()), rels)
+                        assert fast.generators == slow.generators
+                        assert fast.relators == slow.relators
+                        assert fast.text() == slow.text()
+                        assert fast == slow and hash(fast) == hash(slow)
+                        built += 1
+        # 772 connected graphs, each with all its vertex subsets
+        assert built == 3 * sum(2**n * sum(1 for _ in connected_graphs(n)) for n in range(1, 6))
+
+    def test_constructor_round_trip(self):
+        ps = [raag_presentation(g) for n in range(1, 5) for g in connected_graphs(n)]
+        ps += [p for _, a in _star_split_corpus() for p in (a.factor1, a.factor2)]
+        ps.append(
+            Presentation(
+                ("a", "b", "c"),
+                [
+                    (("a", 1), ("a", 1)),
+                    (("b", -1), ("a", 1), ("b", 1), ("a", -1)),
+                    (("c", 1), ("a", 1), ("a", 1), ("c", -1), ("a", -1), ("a", -1)),
+                ],
+            )
+        )
+        for p in ps:
+            q = Presentation(p.generators, p.relators)
+            assert q == p and hash(q) == hash(p)
+            assert q.relators == p.relators and q.text() == p.text()
+
+    def test_replay_matches_oracle_on_emitted_amalgams(self):
+        corpus = [(g, a) for g, a, _ in _emitted_amalgams(5)] + list(_star_split_corpus())
+        for g, a in corpus:
+            assert verify_amalgam(g, a) is True
+            assert verify_amalgam_oracle(g, a) is True
+
+    def test_replay_matches_oracle_on_seeded_edits(self):
+        star = list(_star_split_corpus())
+        direct = [(g, a) for g, a, kind in _emitted_amalgams(5) if kind == DIRECT_AMALGAM]
+        rng = random.Random(0xC0DE)
+        outcomes = set()
+        compared = 0
+        while compared < 6000:
+            if compared < 3000:
+                g, a = rng.choice(star)
+                edit = _single_edit(rng, g, a)
+            else:
+                g, a = rng.choice(direct)
+                edit = _direct_edit(rng, g, a)
+            if edit is None:
+                continue
+            h, edited, kind = edit
+            expect = _outcome(verify_amalgam_oracle, h, edited)
+            assert _outcome(verify_amalgam, h, edited) == expect, (kind, g.edges(), edited)
+            outcomes.add(expect)
+            compared += 1
+        assert outcomes == {True, False, InvalidAmalgamError}
