@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .ccd import CcdTree, complete_cut_decomposition, graph_of_groups
 from .errors import RaagsplitError
-from .formats import FORMATS, parse_graph
+from .formats import FORMATS, parse_document
 from .graphs import Graph
 from .presentations import (
     Amalgam,
@@ -181,14 +181,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_graph(args, raw: bytes) -> Graph:
-    g = parse_graph(raw, args.format)
+    doc = parse_document(raw, args.format)
+    # checked before the Graph is built: its adjacency masks take memory
+    # quadratic in the vertex count
+    n = len(set(doc.vertices))
     cap = _max_vertices()
-    if g.n > cap:
+    if n > cap:
         raise RaagsplitError(
-            f"graph has {g.n} vertices, over the limit of {cap} "
+            f"graph has {n} vertices, over the limit of {cap} "
             "(raise RAAGSPLIT_MAX_VERTICES to override)"
         )
-    return g
+    return doc.to_graph()
 
 
 def _run(args) -> tuple[dict, int]:

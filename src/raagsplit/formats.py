@@ -12,6 +12,12 @@ collation.  Semantic problems (duplicate vertices, unknown endpoints,
 self-loops) surface as the graph constructor's errors; only syntax
 problems raise GraphParseError, which carries a 1-based line and
 column where known.
+
+Each line parser makes one pass over its text: an edge-list line is
+split with ``str.split``, and a DOT text is cut into tokens by one
+regex scan of the whole text, then walked by the grammar as plain
+strings.  Line and column are worked out only when an error is raised,
+with line breaks as ``str.splitlines`` counts them.
 """
 
 from __future__ import annotations
@@ -99,136 +105,99 @@ def _parse_json(text: str) -> GraphDocument:
 
 
 def _parse_edge_list(text: str) -> GraphDocument:
-    vertices: list[str] = []
-    seen: set[str] = set()
+    order: dict[str, None] = {}
     edges: list[tuple[str, str]] = []
-
-    def register(tok: str) -> None:
-        if tok not in seen:
-            seen.add(tok)
-            vertices.append(tok)
-
     for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
-        if not tokens:
-            continue
-        if len(tokens) > 2:
+        # str.split() splits on exactly the characters str.isspace() accepts
+        tokens = line.split()
+        if len(tokens) == 2:
+            a, b = tokens
+            order[a] = order[b] = None
+            edges.append((a, b))
+        elif len(tokens) == 1:
+            order[tokens[0]] = None
+        elif tokens:
+            third = list(re.finditer(r"\S+", line))[2]
             raise GraphParseError(
                 "expected at most two labels per line",
                 line=lineno,
-                column=tokens[2][1],
+                column=third.start() + 1,
             )
-        for tok, _ in tokens:
-            register(tok)
-        if len(tokens) == 2:
-            edges.append((tokens[0][0], tokens[1][0]))
-    return GraphDocument("edge-list", tuple(vertices), tuple(edges))
+    return GraphDocument("edge-list", tuple(order), tuple(edges))
 
 
-class _DotTokens:
-    def __init__(self, text: str):
-        self.tokens: list[tuple[str, int, int]] = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            pos = 0
-            while pos < len(line):
-                ch = line[pos]
-                if ch.isspace():
-                    pos += 1
-                    continue
-                if line.startswith("--", pos):
-                    self.tokens.append(("--", lineno, pos + 1))
-                    pos += 2
-                    continue
-                if ch in "{};":
-                    self.tokens.append((ch, lineno, pos + 1))
-                    pos += 1
-                    continue
-                m = _DOT_ID.match(line, pos)
-                if m:
-                    self.tokens.append((m.group(), lineno, pos + 1))
-                    pos = m.end()
-                    continue
-                raise GraphParseError(
-                    f"unexpected character {ch!r}", line=lineno, column=pos + 1
-                )
-        self.at = 0
+# every DOT token, then any other non-space character as a one-character
+# token of its own; whitespace is Python's (re's \s is str.isspace).
+# Left to re's cache, so a process that reads no DOT file never compiles it.
+_DOT_TOKEN = r"--|[{};]|[A-Za-z_][A-Za-z0-9_]*|[0-9]+|\S"
+_DOT_PUNCT = frozenset(("--", "{", "}", ";"))
 
-    def peek(self):
-        return self.tokens[self.at] if self.at < len(self.tokens) else None
 
-    def take(self, want: str | None = None):
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else ("", 1, 1)
-            raise GraphParseError(
-                f"unexpected end of input (wanted {want!r})" if want else "unexpected end of input",
-                line=last[1],
-                column=last[2],
-            )
-        if want is not None and tok[0] != want:
-            raise GraphParseError(
-                f"expected {want!r}, found {tok[0]!r}", line=tok[1], column=tok[2]
-            )
-        self.at += 1
-        return tok
+def _dot_error(text: str, message: str, at: int) -> GraphParseError:
+    """The error for token ``at`` of the text, placed at that token's
+    line and column (line breaks as ``str.splitlines`` counts them); a
+    negative ``at`` counts from the end, and no token at all is line 1,
+    column 1."""
+    starts = [m.start() for m in re.finditer(_DOT_TOKEN, text)]
+    if not starts:
+        return GraphParseError(message, line=1, column=1)
+    # the token's first character is never a line break
+    lines = text[: starts[at] + 1].splitlines()
+    return GraphParseError(message, line=len(lines), column=len(lines[-1]))
 
 
 def _parse_dot(text: str) -> GraphDocument:
-    toks = _DotTokens(text)
-    kw = toks.take()
-    if kw[0] != "graph":
-        raise GraphParseError("expected 'graph'", line=kw[1], column=kw[2])
-    nxt = toks.peek()
-    if nxt is not None and nxt[0] not in "{":
-        toks.take()  # optional graph name
-    toks.take("{")
+    toks = re.findall(_DOT_TOKEN, text)
+    # only the catch-all gives a one-character token that is no letter,
+    # digit, underscore, brace or semicolon
+    stray = [
+        t for t in set(toks) if len(t) == 1 and not (t.isascii() and t.isalnum() or t in "_{};")
+    ]
+    if stray:
+        at = min(toks.index(t) for t in stray)
+        raise _dot_error(text, f"unexpected character {toks[at]!r}", at)
+    end = len(toks)
+    if not toks:
+        raise _dot_error(text, "unexpected end of input", -1)
+    if toks[0] != "graph":
+        raise _dot_error(text, "expected 'graph'", 0)
+    # an optional graph name: any one token but "{"
+    at = 2 if end > 1 and toks[1] != "{" else 1
+    if at == end:
+        raise _dot_error(text, "unexpected end of input (wanted '{')", -1)
+    if toks[at] != "{":
+        raise _dot_error(text, f"expected '{{', found {toks[at]!r}", at)
+    at += 1
 
-    vertices: list[str] = []
-    seen: set[str] = set()
+    order: dict[str, None] = {}
     edges: list[tuple[str, str]] = []
-
-    def register(tok: str) -> None:
-        if tok not in seen:
-            seen.add(tok)
-            vertices.append(tok)
-
-    def is_id(text_: str) -> bool:
-        return _DOT_ID.fullmatch(text_) is not None
-
     while True:
-        tok = toks.take()
-        if tok[0] == "}":
+        if at == end:
+            raise _dot_error(text, "unexpected end of input", -1)
+        tok = toks[at]
+        at += 1
+        if tok == "}":
             break
-        if tok[0] == ";":
+        if tok == ";":
             continue
-        if not is_id(tok[0]):
-            raise GraphParseError(
-                f"expected a node identifier, found {tok[0]!r}",
-                line=tok[1],
-                column=tok[2],
-            )
-        register(tok[0])
-        prev = tok[0]
-        while toks.peek() is not None and toks.peek()[0] == "--":
-            toks.take("--")
-            nxt = toks.take()
-            if not is_id(nxt[0]):
-                raise GraphParseError(
-                    f"expected a node identifier after '--', found {nxt[0]!r}",
-                    line=nxt[1],
-                    column=nxt[2],
+        if tok in _DOT_PUNCT:
+            raise _dot_error(text, f"expected a node identifier, found {tok!r}", at - 1)
+        order[tok] = None
+        while at < end and toks[at] == "--":
+            if at + 1 == end:
+                raise _dot_error(text, "unexpected end of input", -1)
+            nxt = toks[at + 1]
+            if nxt in _DOT_PUNCT:
+                raise _dot_error(
+                    text, f"expected a node identifier after '--', found {nxt!r}", at + 1
                 )
-            register(nxt[0])
-            edges.append((prev, nxt[0]))
-            prev = nxt[0]
-    trailing = toks.peek()
-    if trailing is not None:
-        raise GraphParseError(
-            f"unexpected {trailing[0]!r} after closing brace",
-            line=trailing[1],
-            column=trailing[2],
-        )
-    return GraphDocument("dot-subset", tuple(vertices), tuple(edges))
+            order[nxt] = None
+            edges.append((tok, nxt))
+            tok = nxt
+            at += 2
+    if at < end:
+        raise _dot_error(text, f"unexpected {toks[at]!r} after closing brace", at)
+    return GraphDocument("dot-subset", tuple(order), tuple(edges))
 
 
 def serialize_graph(g: Graph, format: str = "json") -> bytes:

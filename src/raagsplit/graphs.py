@@ -274,32 +274,49 @@ class Graph:
         unnumbered u reachable from v along a path whose inner vertices
         all weigh less than u.  The search walks weight levels upward,
         growing the region reachable through lighter vertices.
+
+        The unnumbered vertices are kept between steps as one mask per
+        weight level; a raised vertex moves from its level to the next,
+        and empty levels are dropped.  At each level the reached region
+        grows only through its border (the neighbours of the vertices
+        reached so far) within the lighter levels.
         """
         adj = self._adj
-        weight = [0] * self.n
         madj = [0] * self.n
-        unnumbered = self._full
-        while unnumbered:
-            levels: dict[int, int] = {}
-            for u in _mask_to_set(unnumbered):
-                levels[weight[u]] = levels.get(weight[u], 0) | 1 << u
+        levels = {0: self._full} if self.n else {}
+        while levels:
             # number the lowest-index vertex of maximum weight
             top = max(levels)
             vbit = levels[top] & -levels[top]
             levels[top] ^= vbit
-            unnumbered ^= vbit
-            reached, lighter, raised = vbit, 0, 0
+            if not levels[top]:
+                del levels[top]
+            reached, lighter = vbit, 0
             border = adj[vbit.bit_length() - 1]
+            moves = []
             for w in sorted(levels):
-                grown = kernels.component_bits(adj, reached | lighter, reached)
-                for u in _mask_to_set(grown & ~reached):
-                    border |= adj[u]
-                reached = grown
-                raised |= border & levels[w]
-                lighter |= levels[w]
-            for u in _mask_to_set(raised):
-                weight[u] += 1
-                madj[u] |= vbit
+                fresh = border & lighter & ~reached
+                while fresh:
+                    reached |= fresh
+                    while fresh:
+                        low = fresh & -fresh
+                        fresh ^= low
+                        border |= adj[low.bit_length() - 1]
+                    fresh = border & lighter & ~reached
+                level = levels[w]
+                raised = border & level
+                if raised:
+                    moves.append((w, raised))
+                lighter |= level
+            for w, raised in moves:
+                levels[w] ^= raised
+                if not levels[w]:
+                    del levels[w]
+                levels[w + 1] = levels.get(w + 1, 0) | raised
+                while raised:
+                    low = raised & -raised
+                    raised ^= low
+                    madj[low.bit_length() - 1] |= vbit
         return madj
 
     def _clique_separator_candidates(self) -> list[int]:

@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the library's own algorithms so
 they can catch systematic mistakes: separator checks run on plain
 adjacency sets, lattice distances come from multi-source BFS.
-``minimal_separators_enumeration_oracle``, ``ccd_recursion_oracle``,
+``minimal_separators_enumeration_oracle``, ``mcs_m_madj_oracle``,
+``parse_edge_list_oracle``, ``parse_dot_oracle``,
+``ccd_recursion_oracle``, ``validate_ccd_oracle``,
 ``verify_star_split_oracle``, ``verify_amalgam_oracle``,
 ``subgroup_points_oracle`` and
 ``deep_witnesses_oracle`` are instead the code that a rewrite replaced,
@@ -14,15 +16,18 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from collections import deque
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from raagsplit.ccd import CcdTree
-from raagsplit.errors import InvalidAmalgamError
-from raagsplit.graphs import Graph
+from raagsplit import kernels
+from raagsplit.ccd import CcdTree, CcdValidation
+from raagsplit.errors import GraphParseError, InvalidAmalgamError
+from raagsplit.formats import _DOT_ID, GraphDocument
+from raagsplit.graphs import Graph, _mask_to_set
 from raagsplit.lattice import LatticeScenario, SubgroupSpec, _echelon_basis, _subset_mask
 from raagsplit.presentations import (
     SUFFIX_AMBIENT,
@@ -125,6 +130,174 @@ def minimal_clique_separators_oracle(g: Graph):
             seps.append(cand)
     return sorted(seps)
 
+
+def mcs_m_madj_oracle(g: Graph) -> list[int]:
+    """``Graph._mcs_m_madj`` before its weight levels were kept between
+    steps: it rebuilds the level masks from a weight list at every step
+    and regrows the reached region from scratch at every level."""
+    adj = g._adj
+    weight = [0] * g.n
+    madj = [0] * g.n
+    unnumbered = g._full
+    while unnumbered:
+        levels: dict[int, int] = {}
+        for u in _mask_to_set(unnumbered):
+            levels[weight[u]] = levels.get(weight[u], 0) | 1 << u
+        # number the lowest-index vertex of maximum weight
+        top = max(levels)
+        vbit = levels[top] & -levels[top]
+        levels[top] ^= vbit
+        unnumbered ^= vbit
+        reached, lighter, raised = vbit, 0, 0
+        border = adj[vbit.bit_length() - 1]
+        for w in sorted(levels):
+            grown = kernels.component_bits(adj, reached | lighter, reached)
+            for u in _mask_to_set(grown & ~reached):
+                border |= adj[u]
+            reached = grown
+            raised |= border & levels[w]
+            lighter |= levels[w]
+        for u in _mask_to_set(raised):
+            weight[u] += 1
+            madj[u] |= vbit
+    return madj
+
+
+def parse_edge_list_oracle(text: str) -> GraphDocument:
+    """The edge-list parser before it split lines with ``str.split``:
+    one ``\\S+`` regex scan per line, every token's column kept."""
+    vertices: list[str] = []
+    seen: set[str] = set()
+    edges: list[tuple[str, str]] = []
+
+    def register(tok: str) -> None:
+        if tok not in seen:
+            seen.add(tok)
+            vertices.append(tok)
+
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
+        if not tokens:
+            continue
+        if len(tokens) > 2:
+            raise GraphParseError(
+                "expected at most two labels per line",
+                line=lineno,
+                column=tokens[2][1],
+            )
+        for tok, _ in tokens:
+            register(tok)
+        if len(tokens) == 2:
+            edges.append((tokens[0][0], tokens[1][0]))
+    return GraphDocument("edge-list", tuple(vertices), tuple(edges))
+
+
+class _DotTokensOracle:
+    def __init__(self, text: str):
+        self.tokens: list[tuple[str, int, int]] = []
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            pos = 0
+            while pos < len(line):
+                ch = line[pos]
+                if ch.isspace():
+                    pos += 1
+                    continue
+                if line.startswith("--", pos):
+                    self.tokens.append(("--", lineno, pos + 1))
+                    pos += 2
+                    continue
+                if ch in "{};":
+                    self.tokens.append((ch, lineno, pos + 1))
+                    pos += 1
+                    continue
+                m = _DOT_ID.match(line, pos)
+                if m:
+                    self.tokens.append((m.group(), lineno, pos + 1))
+                    pos = m.end()
+                    continue
+                raise GraphParseError(
+                    f"unexpected character {ch!r}", line=lineno, column=pos + 1
+                )
+        self.at = 0
+
+    def peek(self):
+        return self.tokens[self.at] if self.at < len(self.tokens) else None
+
+    def take(self, want: str | None = None):
+        tok = self.peek()
+        if tok is None:
+            last = self.tokens[-1] if self.tokens else ("", 1, 1)
+            raise GraphParseError(
+                f"unexpected end of input (wanted {want!r})" if want else "unexpected end of input",
+                line=last[1],
+                column=last[2],
+            )
+        if want is not None and tok[0] != want:
+            raise GraphParseError(
+                f"expected {want!r}, found {tok[0]!r}", line=tok[1], column=tok[2]
+            )
+        self.at += 1
+        return tok
+
+
+def parse_dot_oracle(text: str) -> GraphDocument:
+    """The DOT parser before its one-pass scan: a per-character
+    tokenizer over each line, then a peek/take grammar walk."""
+    toks = _DotTokensOracle(text)
+    kw = toks.take()
+    if kw[0] != "graph":
+        raise GraphParseError("expected 'graph'", line=kw[1], column=kw[2])
+    nxt = toks.peek()
+    if nxt is not None and nxt[0] not in "{":
+        toks.take()  # optional graph name
+    toks.take("{")
+
+    vertices: list[str] = []
+    seen: set[str] = set()
+    edges: list[tuple[str, str]] = []
+
+    def register(tok: str) -> None:
+        if tok not in seen:
+            seen.add(tok)
+            vertices.append(tok)
+
+    def is_id(text_: str) -> bool:
+        return _DOT_ID.fullmatch(text_) is not None
+
+    while True:
+        tok = toks.take()
+        if tok[0] == "}":
+            break
+        if tok[0] == ";":
+            continue
+        if not is_id(tok[0]):
+            raise GraphParseError(
+                f"expected a node identifier, found {tok[0]!r}",
+                line=tok[1],
+                column=tok[2],
+            )
+        register(tok[0])
+        prev = tok[0]
+        while toks.peek() is not None and toks.peek()[0] == "--":
+            toks.take("--")
+            nxt = toks.take()
+            if not is_id(nxt[0]):
+                raise GraphParseError(
+                    f"expected a node identifier after '--', found {nxt[0]!r}",
+                    line=nxt[1],
+                    column=nxt[2],
+                )
+            register(nxt[0])
+            edges.append((prev, nxt[0]))
+            prev = nxt[0]
+    trailing = toks.peek()
+    if trailing is not None:
+        raise GraphParseError(
+            f"unexpected {trailing[0]!r} after closing brace",
+            line=trailing[1],
+            column=trailing[2],
+        )
+    return GraphDocument("dot-subset", tuple(vertices), tuple(edges))
 
 
 def _component_mask(adj, live: int, start: int) -> int:
@@ -243,6 +416,49 @@ def ccd_recursion_oracle(g: Graph) -> CcdTree:
 
     pieces, edges, cuts = decompose(g.vertices())
     return CcdTree(tuple(pieces), tuple(edges), tuple(cuts))
+
+
+def validate_ccd_oracle(g: Graph, t: CcdTree) -> CcdValidation:
+    """``validate_ccd`` before it skipped pieces that are cliques: it
+    searches every piece for a complete cut."""
+    failures = []
+    limit = g.n
+    for p in t.pieces + t.cuts:
+        if any(not 0 <= v < limit for v in p):
+            return CcdValidation(
+                False, False, False,
+                (f"vertex set {p} references vertices outside the graph",),
+            )
+
+    covers = True
+    piece_sets = [set(p) for p in t.pieces]
+    for i, j in g.edges():
+        if not any(i in ps and j in ps for ps in piece_sets):
+            covers = False
+            failures.append(
+                f"edge ({g.labels[i]}, {g.labels[j]}) lies in no piece"
+            )
+
+    indecomposable = True
+    for node, p in enumerate(t.pieces):
+        if g.induced_subgraph(p).minimal_clique_separators():
+            indecomposable = False
+            failures.append(f"piece {node} ({g.labels_of(p)}) has a complete cut")
+
+    cuts_ok = True
+    for (r, s), cut in zip(t.tree_edges, t.cuts):
+        label = f"cut {g.labels_of(cut)} on tree edge ({r}, {s})"
+        if not g.is_clique(cut):
+            cuts_ok = False
+            failures.append(f"{label} is not a clique")
+        if not g.separates(cut):
+            cuts_ok = False
+            failures.append(f"{label} does not separate the graph")
+        if not (set(cut) < piece_sets[r] and set(cut) < piece_sets[s]):
+            cuts_ok = False
+            failures.append(f"{label} is not a proper subset of both pieces")
+
+    return CcdValidation(covers, indecomposable, cuts_ok, tuple(failures))
 
 
 # star-split reference: the replay ``verify_star_split`` ran before

@@ -15,6 +15,7 @@ import pytest
 import raagsplit
 from conftest import DEEP_JSON
 from raagsplit.cli import main, schema_for
+from raagsplit.graphs import Graph
 
 P2_JSON = '{"vertices":["a","b","c"],"edges":[["a","b"],["b","c"]]}'
 C4_EDGES = "a b\nb c\nc d\nd a\n"
@@ -426,6 +427,28 @@ class TestInputHandling:
         monkeypatch.setenv("RAAGSPLIT_MAX_VERTICES", "2")
         code, _, err = run(capsys, ["decide", "-n", "1", files["p2.json"]])
         assert code == 2 and "RAAGSPLIT_MAX_VERTICES" in err
+
+    def test_vertex_cap_checked_before_graph_is_built(self, files, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Graph built before the vertex cap was checked")
+
+        monkeypatch.setenv("RAAGSPLIT_MAX_VERTICES", "2")
+        monkeypatch.setattr(Graph, "__init__", refuse)
+        for name in ("p2.json", "c4.txt", "k4.dot"):
+            code, out, err = run(capsys, ["decide", "-n", "1", files[name]])
+            assert code == 2 and out == ""
+            assert err.startswith("error: graph has ") and "over the limit of 2" in err
+
+    def test_vertex_cap_counts_distinct_labels(self, files, capsys, monkeypatch):
+        # an over-cap file gets the cap error even if it has other faults
+        doubled = files["dir"] / "doubled.json"
+        doubled.write_text('{"vertices": ["a", "b", "c", "a"], "edges": []}')
+        monkeypatch.setenv("RAAGSPLIT_MAX_VERTICES", "2")
+        code, _, err = run(capsys, ["decide", "-n", "1", str(doubled)])
+        assert code == 2 and err.startswith("error: graph has 3 vertices, over the limit of 2")
+        monkeypatch.setenv("RAAGSPLIT_MAX_VERTICES", "3")
+        code, _, err = run(capsys, ["decide", "-n", "1", str(doubled)])
+        assert code == 2 and err == "error: duplicate vertex label\n"
 
     @pytest.mark.parametrize("raw", [" 3 ", "1_0", "\u0663", "-1", "+3", ""])
     def test_vertex_cap_takes_only_ascii_digits(self, files, capsys, monkeypatch, raw):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import DEEP_JSON, random_graph
+from conftest import DEEP_JSON, parse_dot_oracle, parse_edge_list_oracle, random_graph
 from raagsplit.errors import (
     GraphParseError,
     InvalidArgumentError,
@@ -213,3 +213,63 @@ class TestDocument:
     def test_document_is_reusable(self):
         doc = GraphDocument("json", ("x",), ())
         assert doc.to_graph() == Graph(("x",))
+
+
+# pieces of the fuzz corpus: DOT and edge-list syntax, stray hyphens,
+# a number run into a name, and every kind of whitespace the two
+# parsers must treat alike (Unicode spaces and line breaks, CRLF, tabs)
+FUZZ_PIECES = (
+    "graph", "graph -- {", "graph g", "{", "}", ";", "--", "-", "---",
+    "a--b--c", "0abc", "a", "b", "x_1", "42", "a b", "a b c", "$", "\u00e9",
+    " ", "  ", "\t", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85",
+    "\xa0", "\u2028", "\u3000",
+)
+
+
+def _fuzz_corpus():
+    """Empty and fixed edge cases, then seeded random strings of the
+    pieces above, with and without a DOT header and closing brace, then
+    the serialised form of random graphs."""
+    yield ""
+    yield from (
+        "-", "---", "a--b--c", "0abc", "graph -- { a }", "graph { a -- b",
+        "graph { a } }", "graph { a } b", "graph a b { }", "graph {{ a }",
+        "graph\r\n{\ta -- b;\r\n}\r\n", "a b\r\nb\tc\r\n",
+        "a\x0bb\x0cc", "a\u2028b c d", "a\x85b\x1cc",
+    )
+    rng = random.Random(2026_10)
+    for k in range(3000):
+        text = "".join(rng.choice(FUZZ_PIECES) for _ in range(rng.randint(0, 14)))
+        if k % 3 == 0:
+            text = "graph {" + text
+        if k % 4 == 0:
+            text += "}"
+        yield text
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(0, 16))
+        for fmt in ("edge-list", "dot-subset"):
+            yield serialize_graph(g, fmt).decode()
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except GraphParseError as exc:
+        return (str(exc), exc.line, exc.column)
+
+
+class TestParserDifferential:
+    """The one-scan parsers against the parsers they replaced: an equal
+    document, or an error with an equal message, line and column."""
+
+    @pytest.mark.parametrize(
+        "fmt, oracle",
+        [("edge-list", parse_edge_list_oracle), ("dot-subset", parse_dot_oracle)],
+    )
+    def test_matches_oracle(self, fmt, oracle):
+        outcomes = set()
+        for text in _fuzz_corpus():
+            got = _outcome(lambda t: parse_document(t.encode(), fmt), text)
+            assert got == _outcome(oracle, text), repr(text)
+            outcomes.add(type(got))
+        assert outcomes == {GraphDocument, tuple}

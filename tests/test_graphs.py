@@ -13,6 +13,7 @@ from conftest import (
     all_graphs,
     connected_graphs,
     mask_graph,
+    mcs_m_madj_oracle,
     minimal_clique_separators_oracle,
     minimal_separators_enumeration_oracle,
     random_graph,
@@ -275,3 +276,27 @@ class TestMcsMDifferential:
             tuple(sorted(where[v] for v in sep)) for sep in g.minimal_clique_separators()
         )
         assert h.minimal_clique_separators() == mapped
+
+
+class TestMcsMLevels:
+    """MCS-M with its weight levels kept between steps against the run
+    that rebuilt them at every step: the same madj list."""
+
+    def test_every_graph_up_to_six_vertices(self):
+        count = 0
+        for n in range(7):
+            for g in all_graphs(n):
+                assert g._mcs_m_madj() == mcs_m_madj_oracle(g), (n, g.edges())
+                count += 1
+        assert count == 1 + 1 + 2 + 8 + 64 + 1024 + 32768
+
+    @pytest.mark.parametrize("p", [0.05, 0.1, 0.2, 0.35, 0.6, 0.9])
+    def test_random_graphs(self, p):
+        rng = random.Random(int(p * 100))
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(7, 64), p)
+            assert g._mcs_m_madj() == mcs_m_madj_oracle(g), (g.n, g.edges())
+
+    def test_complete_graphs_have_no_separator(self):
+        for m in range(1, 9):
+            assert complete_graph(m).minimal_clique_separators() == []
