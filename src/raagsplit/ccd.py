@@ -237,8 +237,7 @@ def validate_ccd(g: Graph, t: CcdTree) -> CcdValidation:
 
     indecomposable = True
     for node, p in enumerate(t.pieces):
-        # a clique has no separator at all, so no complete cut
-        if not g.is_clique(p) and g.induced_subgraph(p).minimal_clique_separators():
+        if g.induced_subgraph(p).minimal_clique_separators():
             indecomposable = False
             failures.append(f"piece {node} ({g.labels_of(p)}) has a complete cut")
 

@@ -129,7 +129,7 @@ def _parse_edge_list(text: str) -> GraphDocument:
 # every DOT token, then any other non-space character as a one-character
 # token of its own; whitespace is Python's (re's \s is str.isspace).
 # Left to re's cache, so a process that reads no DOT file never compiles it.
-_DOT_TOKEN = r"--|[{};]|[A-Za-z_][A-Za-z0-9_]*|[0-9]+|\S"
+_DOT_TOKEN = "--|[{};]|" + _DOT_ID.pattern + r"|\S"
 _DOT_PUNCT = frozenset(("--", "{", "}", ";"))
 
 
@@ -148,11 +148,8 @@ def _dot_error(text: str, message: str, at: int) -> GraphParseError:
 
 def _parse_dot(text: str) -> GraphDocument:
     toks = re.findall(_DOT_TOKEN, text)
-    # only the catch-all gives a one-character token that is no letter,
-    # digit, underscore, brace or semicolon
-    stray = [
-        t for t in set(toks) if len(t) == 1 and not (t.isascii() and t.isalnum() or t in "_{};")
-    ]
+    # a token that is neither punctuation nor an identifier came from \S
+    stray = [t for t in set(toks) if t not in _DOT_PUNCT and not _DOT_ID.fullmatch(t)]
     if stray:
         at = min(toks.index(t) for t in stray)
         raise _dot_error(text, f"unexpected character {toks[at]!r}", at)

@@ -5,7 +5,7 @@ they can catch systematic mistakes: separator checks run on plain
 adjacency sets, lattice distances come from multi-source BFS.
 ``minimal_separators_enumeration_oracle``, ``mcs_m_madj_oracle``,
 ``parse_edge_list_oracle``, ``parse_dot_oracle``,
-``ccd_recursion_oracle``, ``validate_ccd_oracle``,
+``ccd_recursion_oracle``,
 ``verify_star_split_oracle``, ``verify_amalgam_oracle``,
 ``subgroup_points_oracle`` and
 ``deep_witnesses_oracle`` are instead the code that a rewrite replaced,
@@ -24,7 +24,7 @@ import pytest
 from scipy import ndimage
 
 from raagsplit import kernels
-from raagsplit.ccd import CcdTree, CcdValidation
+from raagsplit.ccd import CcdTree
 from raagsplit.errors import GraphParseError, InvalidAmalgamError
 from raagsplit.formats import _DOT_ID, GraphDocument
 from raagsplit.graphs import Graph, _mask_to_set
@@ -416,49 +416,6 @@ def ccd_recursion_oracle(g: Graph) -> CcdTree:
 
     pieces, edges, cuts = decompose(g.vertices())
     return CcdTree(tuple(pieces), tuple(edges), tuple(cuts))
-
-
-def validate_ccd_oracle(g: Graph, t: CcdTree) -> CcdValidation:
-    """``validate_ccd`` before it skipped pieces that are cliques: it
-    searches every piece for a complete cut."""
-    failures = []
-    limit = g.n
-    for p in t.pieces + t.cuts:
-        if any(not 0 <= v < limit for v in p):
-            return CcdValidation(
-                False, False, False,
-                (f"vertex set {p} references vertices outside the graph",),
-            )
-
-    covers = True
-    piece_sets = [set(p) for p in t.pieces]
-    for i, j in g.edges():
-        if not any(i in ps and j in ps for ps in piece_sets):
-            covers = False
-            failures.append(
-                f"edge ({g.labels[i]}, {g.labels[j]}) lies in no piece"
-            )
-
-    indecomposable = True
-    for node, p in enumerate(t.pieces):
-        if g.induced_subgraph(p).minimal_clique_separators():
-            indecomposable = False
-            failures.append(f"piece {node} ({g.labels_of(p)}) has a complete cut")
-
-    cuts_ok = True
-    for (r, s), cut in zip(t.tree_edges, t.cuts):
-        label = f"cut {g.labels_of(cut)} on tree edge ({r}, {s})"
-        if not g.is_clique(cut):
-            cuts_ok = False
-            failures.append(f"{label} is not a clique")
-        if not g.separates(cut):
-            cuts_ok = False
-            failures.append(f"{label} does not separate the graph")
-        if not (set(cut) < piece_sets[r] and set(cut) < piece_sets[s]):
-            cuts_ok = False
-            failures.append(f"{label} is not a proper subset of both pieces")
-
-    return CcdValidation(covers, indecomposable, cuts_ok, tuple(failures))
 
 
 # star-split reference: the replay ``verify_star_split`` ran before

@@ -12,7 +12,6 @@ from conftest import (
     connected_graphs,
     random_connected_graph,
     separates_oracle,
-    validate_ccd_oracle,
 )
 from raagsplit.ccd import (
     CcdTree,
@@ -272,51 +271,3 @@ class TestOnePassDifferential:
         t = complete_cut_decomposition(g)
         assert len(t.pieces) == 11
         assert calls == [g]
-
-
-def _tampered_trees(g):
-    """The decomposition of g, the undivided tree, and each tree that
-    drops one piece (with its tree edges) where what is left is still a
-    well-formed tree."""
-    t = complete_cut_decomposition(g)
-    yield t
-    yield CcdTree((g.vertices(),))
-    for gone in range(len(t.pieces)):
-        keep = [k for k in range(len(t.pieces)) if k != gone]
-        new = {old: k for k, old in enumerate(keep)}
-        kept = [
-            (e, c) for e, c in zip(t.tree_edges, t.cuts) if gone not in e
-        ]
-        try:
-            yield CcdTree(
-                tuple(t.pieces[k] for k in keep),
-                tuple((new[r], new[s]) for (r, s), _ in kept),
-                tuple(c for _, c in kept),
-            )
-        except InvalidCcdError:
-            pass
-
-
-class TestValidateSkipsCliques:
-    """validate_ccd skips the complete-cut search on pieces that are
-    cliques; its reports are those of the search on every piece."""
-
-    def test_same_report_on_small_graphs(self):
-        count = 0
-        for n in range(1, 6):
-            for g in connected_graphs(n):
-                for t in _tampered_trees(g):
-                    assert validate_ccd(g, t) == validate_ccd_oracle(g, t), (g.edges(), t)
-                    count += 1
-        assert count > 772 * 2
-
-    def test_same_report_on_fixed_tampered_trees(self):
-        for g, t in [
-            (complete_graph(3), CcdTree((range(3),))),
-            (path_graph("abc"), CcdTree((range(3),))),
-            (tri_pendant(), CcdTree(((0, 1, 2), (0,)), ((0, 1),), ((0,),))),
-            (complete_graph(3), CcdTree(((0, 1), (0, 1, 2)), ((0, 1),), ((0, 1),))),
-            (path_graph("ab"), CcdTree(((5, 6),))),
-            (path_graph("abc"), CcdTree([(-1, 0, 1), (1, 2)], [(0, 1)], [(1,)])),
-        ]:
-            assert validate_ccd(g, t) == validate_ccd_oracle(g, t)
