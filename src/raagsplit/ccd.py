@@ -24,7 +24,9 @@ to clique minimal separator decomposition", Algorithms 3(2), 2010).
 The ambient graph's one MCS-M run, in O(nm), therefore lists every cut
 the recursion can need among its madj sets: the cut of a piece is the
 smallest of those candidates inside it whose removal disconnects it,
-and pieces stay vertex masks of the ambient graph throughout.
+and pieces stay vertex masks of the ambient graph throughout.  A
+candidate that does not disconnect a piece disconnects neither of its
+halves, so each half searches only the candidates it is handed.
 """
 
 from __future__ import annotations
@@ -77,13 +79,15 @@ class CcdTree:
         if len(edges) != len(pcs) - 1:
             raise InvalidCcdError("tree must have exactly one edge fewer than nodes")
         # connected + n-1 edges = tree
+        near = [[] for _ in pcs]
+        for r, s in edges:
+            near[r].append(s)
+            near[s].append(r)
         seen = {0}
         frontier = [0]
         while frontier:
-            node = frontier.pop()
-            for r, s in edges:
-                other = s if r == node else r if s == node else None
-                if other is not None and other not in seen:
+            for other in near[frontier.pop()]:
+                if other not in seen:
                     seen.add(other)
                     frontier.append(other)
         if len(seen) != len(pcs):
@@ -136,21 +140,31 @@ class GraphOfGroups:
 
 def _decompose(g: Graph, cands: list[int], whole: int):
     """Pieces, tree edges and cuts of the decomposition of g[whole], all
-    as vertex masks of g; ``cands`` is g's candidate list.
+    as vertex masks of g; ``cands`` is g's candidate list, every entry
+    inside ``whole``.
 
-    Each piece with a cut splits into the cut plus its first component
-    and the rest.  The pieces are listed leaf by leaf, left half first,
-    and each cut's tree edge follows the edges of both its halves, which
-    joins the first piece of each half that properly contains the cut.
-    The walk keeps its own stack, so its depth is not bounded by
-    Python's recursion limit.
+    Each piece is cut at the first of its candidates that disconnects
+    it, and splits into the cut plus its first component and the rest.
+    Each half is handed only the candidates inside it from the cut's
+    position onward.  The earlier ones do not disconnect the piece, so
+    they cannot disconnect a half either: two components of a half
+    minus a clique c would each have to reach the other part of the
+    piece through the cut, hence each hold a vertex of the cut outside
+    c, and those vertices are adjacent.  The cut itself goes to the
+    second half only, since the first minus the cut is one component.
+
+    The pieces are listed leaf by leaf, left half first, and each cut's
+    tree edge follows the edges of both its halves, which joins the
+    first piece of each half that properly contains the cut.  The walk
+    keeps its own stack, so its depth is not bounded by Python's
+    recursion limit.
     """
     adj = g.adjacency_masks
     pieces, edges, cuts = [], [], []
-    # an int is a piece still to split; a cut's [cut, start] record is
-    # pushed twice, and gains the start of its second half when it first
-    # comes off the stack
-    stack = [whole]
+    # a (piece, candidates) tuple is a piece still to split; a cut's
+    # [cut, start] record is pushed twice, and gains the start of its
+    # second half when it first comes off the stack
+    stack = [(whole, cands)]
     while stack:
         top = stack.pop()
         if isinstance(top, list):
@@ -173,21 +187,23 @@ def _decompose(g: Graph, cands: list[int], whole: int):
             edges.append((attach[0], attach[1]))
             cuts.append(cut)
             continue
-        cut = next(
-            (
-                c
-                for c in cands
-                if c & ~top == 0 and not kernels.is_connected_bits(adj, top & ~c)
-            ),
-            None,
-        )
-        if cut is None:
-            pieces.append(top)
+        piece, inside = top
+        for at, cut in enumerate(inside):
+            if not kernels.is_connected_bits(adj, piece & ~cut):
+                break
+        else:
+            pieces.append(piece)
             continue
-        rest = top & ~cut
-        first = kernels.component_bits(adj, rest, rest & -rest)
+        rest = piece & ~cut
+        first = cut | kernels.component_bits(adj, rest, rest & -rest)
+        second = piece & ~first | cut
         record = [cut, len(pieces)]
-        stack += [record, top & ~first, record, cut | first]
+        stack += [
+            record,
+            (second, [c for c in inside[at:] if c & ~second == 0]),
+            record,
+            (first, [c for c in inside[at + 1:] if c & ~first == 0]),
+        ]
     return pieces, edges, cuts
 
 
@@ -226,10 +242,19 @@ def validate_ccd(g: Graph, t: CcdTree) -> CcdValidation:
                 (f"vertex set {p} references vertices outside the graph",),
             )
 
+    # covered[v]: the vertices that share a piece with v
+    covered = [0] * limit
+    piece_masks = []
+    for p in t.pieces:
+        mask = 0
+        for v in p:
+            mask |= 1 << v
+        piece_masks.append(mask)
+        for v in p:
+            covered[v] |= mask
     covers = True
-    piece_sets = [set(p) for p in t.pieces]
     for i, j in g.edges():
-        if not any(i in ps and j in ps for ps in piece_sets):
+        if not covered[i] >> j & 1:
             covers = False
             failures.append(
                 f"edge ({g.labels[i]}, {g.labels[j]}) lies in no piece"
@@ -242,17 +267,22 @@ def validate_ccd(g: Graph, t: CcdTree) -> CcdValidation:
             failures.append(f"piece {node} ({g.labels_of(p)}) has a complete cut")
 
     cuts_ok = True
+    adj, full = g.adjacency_masks, (1 << limit) - 1
     for (r, s), cut in zip(t.tree_edges, t.cuts):
-        label = f"cut {g.labels_of(cut)} on tree edge ({r}, {s})"
-        if not g.is_clique(cut):
+        mask = 0
+        for v in cut:
+            mask |= 1 << v
+        faults = []
+        if not g._is_clique_mask(mask):
+            faults.append("is not a clique")
+        if kernels.is_connected_bits(adj, full & ~mask):
+            faults.append("does not separate the graph")
+        if not all(mask & ~pm == 0 and mask != pm for pm in (piece_masks[r], piece_masks[s])):
+            faults.append("is not a proper subset of both pieces")
+        if faults:
             cuts_ok = False
-            failures.append(f"{label} is not a clique")
-        if not g.separates(cut):
-            cuts_ok = False
-            failures.append(f"{label} does not separate the graph")
-        if not (set(cut) < piece_sets[r] and set(cut) < piece_sets[s]):
-            cuts_ok = False
-            failures.append(f"{label} is not a proper subset of both pieces")
+            label = f"cut {g.labels_of(cut)} on tree edge ({r}, {s})"
+            failures += [f"{label} {fault}" for fault in faults]
 
     return CcdValidation(covers, indecomposable, cuts_ok, tuple(failures))
 

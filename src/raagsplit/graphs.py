@@ -8,7 +8,7 @@ deterministic: sets are sorted ascending and lists of sets are in
 lexicographic order.
 
 Internally adjacency lives in bitmasks and the heavy primitives
-(components, clique enumeration) are the pure-Python bitset kernels in
+(components, clique search) are the pure-Python bitset kernels in
 :mod:`.kernels`.
 Minimal clique separators come from the MCS-M minimal triangulation
 (Berry, Blair, Heggernes, Peyton, "Maximum cardinality search for
@@ -54,29 +54,34 @@ class Graph:
     """
 
     def __init__(self, vertices: Sequence[str], edges: Iterable[tuple[str, str]] = ()):
+        """Check the labels, then each edge in the order given; the first
+        fault raises InvalidVertexError.  The labels must be distinct
+        strs.  An edge must be a pair of strs naming two different
+        vertices (first endpoint looked up first) that no earlier edge
+        joined, in either orientation; a repeat shows as an adjacency
+        bit already set."""
         labels = tuple(vertices)
         for v in labels:
             if not isinstance(v, str):
                 raise InvalidVertexError(f"vertex labels must be strings, got {v!r}")
-        if len(set(labels)) != len(labels):
-            raise InvalidVertexError("duplicate vertex label")
         index = {v: i for i, v in enumerate(labels)}
+        if len(index) != len(labels):
+            raise InvalidVertexError("duplicate vertex label")
+        find = index.get
         adj = [0] * len(labels)
-        seen = set()
         for a, b in edges:
             if not (isinstance(a, str) and isinstance(b, str)):
                 raise InvalidVertexError(f"edge endpoints must be strings, got {(a, b)!r}")
-            if a not in index:
+            i = find(a)
+            if i is None:
                 raise InvalidVertexError(f"unknown edge endpoint {a!r}")
-            if b not in index:
+            j = find(b)
+            if j is None:
                 raise InvalidVertexError(f"unknown edge endpoint {b!r}")
-            i, j = index[a], index[b]
             if i == j:
                 raise InvalidVertexError(f"self-loop at {a!r}")
-            key = (min(i, j), max(i, j))
-            if key in seen:
+            if adj[i] >> j & 1:
                 raise InvalidVertexError(f"duplicate edge {a!r} -- {b!r}")
-            seen.add(key)
             adj[i] |= 1 << j
             adj[j] |= 1 << i
         self._labels = labels
@@ -170,15 +175,19 @@ class Graph:
         ('a', 'c')
         """
         keep = self.vertex_set(s)
-        labels = [self._labels[i] for i in keep]
-        pos = {i: k for k, i in enumerate(keep)}
+        mask = 0
+        for i in keep:
+            mask |= 1 << i
+        names = self._labels
         edges = []
         for i in keep:
-            both = self._adj[i]
-            for j in keep:
-                if j > i and both >> j & 1:
-                    edges.append((labels[pos[i]], labels[pos[j]]))
-        return Graph(labels, edges)
+            # the later kept neighbours of i, read off its adjacency mask
+            later = self._adj[i] & mask & ~((2 << i) - 1)
+            while later:
+                low = later & -later
+                later ^= low
+                edges.append((names[i], names[low.bit_length() - 1]))
+        return Graph([names[i] for i in keep], edges)
 
     def components(self) -> list[VertexSet]:
         """Connected components, each a sorted tuple, listed in order of
@@ -249,18 +258,6 @@ class Graph:
         if "cn" not in self._cache:
             self._cache["cn"] = kernels.max_clique_size_bits(self._adj, self._full)
         return self._cache["cn"]
-
-    def maximal_cliques(self) -> list[VertexSet]:
-        """All inclusion-maximal cliques, each sorted, in lexicographic
-        order.  The empty graph has none.
-
-        >>> Graph(["a", "b", "c"], [("a", "b"), ("b", "c")]).maximal_cliques()
-        [(0, 1), (1, 2)]
-        """
-        if "cliques" not in self._cache:
-            masks = kernels.maximal_cliques_bits(self._adj, self._full)
-            self._cache["cliques"] = sorted(_mask_to_set(m) for m in masks)
-        return list(self._cache["cliques"])
 
     # -- separators --------------------------------------------------------
 
@@ -355,13 +352,18 @@ class Graph:
         of them.  H comes from MCS-M in O(nm), and every minimal
         separator of H is one of its madj sets; the candidates of
         :meth:`_clique_separator_candidates` are filtered down to the
-        inclusion-minimal ones.
+        inclusion-minimal ones.  A complete graph has none, since
+        removing vertices from it leaves a complete graph, which is
+        connected; that case is answered from the adjacency masks in
+        O(n), before MCS-M runs.
 
         >>> Graph(["a", "b", "c"], [("a", "b"), ("b", "c")]).minimal_clique_separators()
         [(1,)]
         """
         if "mcs" not in self._cache:
-            if not self.is_connected():
+            if self.is_complete():
+                self._cache["mcs"] = []
+            elif not self.is_connected():
                 self._cache["mcs"] = [()]
             else:
                 kept = self._clique_separator_candidates()

@@ -40,43 +40,6 @@ def is_connected_bits(adj, mask):
     return component_bits(adj, mask, mask & -mask) == mask
 
 
-def maximal_cliques_bits(adj, mask):
-    """All maximal cliques of the subgraph induced on ``mask``, as masks.
-
-    Branch and bound over (candidate, excluded) sets with a pivot chosen
-    to maximize candidate coverage.
-    """
-    out = []
-    if not mask:
-        return out
-
-    def expand(r, p, x):
-        if not p and not x:
-            out.append(r)
-            return
-        # pivot: vertex of p|x with most neighbors in p
-        best, best_cover = -1, -1
-        px = p | x
-        while px:
-            low = px & -px
-            px ^= low
-            v = low.bit_length() - 1
-            cover = (adj[v] & p).bit_count()
-            if cover > best_cover:
-                best, best_cover = v, cover
-        cand = p & ~adj[best]
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            expand(r | low, p & adj[v], x & adj[v])
-            p &= ~low
-            x |= low
-
-    expand(0, mask, 0)
-    return out
-
-
 def max_clique_size_bits(adj, mask):
     best = 0
     if not mask:

@@ -57,7 +57,7 @@ from .errors import (
     NotSeparatingCliqueError,
     StarCoversGraphError,
 )
-from .graphs import Graph, VertexSet
+from .graphs import Graph, VertexSet, _mask_to_set
 
 Letter = tuple[str, int]
 Word = tuple[Letter, ...]
@@ -247,8 +247,9 @@ def _raag_on(g: Graph, keep: VertexSet, suffix: str = "") -> Presentation:
     mask restricted to the later kept vertices, so the cost follows the
     size of g[keep], not of g.  The coded relator of edge (i, j) is
     (a, b, -a, -b), with a < b the codes of i and j: already in normal
-    form, so nothing is checked or normalised again."""
-    keep = g.vertex_set(keep)
+    form, so nothing is checked or normalised again.  ``keep`` must be
+    a sorted tuple of distinct vertex indices of g, as every caller has
+    already made or checked it."""
     code, mask = {}, 0
     for k, i in enumerate(keep, 1):
         code[i] = k
@@ -318,19 +319,17 @@ def star_split(g: Graph, u: int) -> Amalgam:
     the whole-graph factor suffix ``_2``; ``u`` embeds as the square
     u_1 u_1 on the star side.
     """
-    star = g.star((u,))
-    if star == g.vertices():
+    (u,) = g.vertex_set((u,))
+    star_mask = g.adjacency_masks[u] | 1 << u
+    if star_mask == (1 << g.n) - 1:
         raise StarCoversGraphError(
             f"star of {g.labels[u]!r} is the whole graph; no splitting along it"
         )
-    star_labels = g.labels_of(star)
-    u_label = g.labels[u]
-    embed1 = {}
-    for x in star_labels:
-        if x == u_label:
-            embed1[x] = ((x + SUFFIX_STAR, 1), (x + SUFFIX_STAR, 1))
-        else:
-            embed1[x] = ((x + SUFFIX_STAR, 1),)
+    star = _mask_to_set(star_mask)
+    labels = g.labels
+    star_labels = tuple(labels[i] for i in star)
+    embed1 = {x: ((x + SUFFIX_STAR, 1),) for x in star_labels}
+    embed1[labels[u]] = embed1[labels[u]] * 2
     embed2 = {x: ((x + SUFFIX_AMBIENT, 1),) for x in star_labels}
     return Amalgam(
         factor1=_raag_on(g, star, SUFFIX_STAR),
@@ -396,21 +395,28 @@ def verify_amalgam(g: Graph, a: Amalgam) -> bool:
     (True, True)
     """
     _check_amalgam(a)
-    return _replay(g, a)
+    return _replay(g, a, {e: free_reduce(a.embed1[e]) for e in a.edge_generators})
 
 
-def _replay(g: Graph, a: Amalgam) -> bool:
+def _replay(g: Graph, a: Amalgam, embed1: Mapping[str, Word]) -> bool:
     """:func:`verify_amalgam` on an amalgam that passed
-    :func:`_check_amalgam`, on vertex codes: the pairs read off the
-    rewritten relators are compared with ``g.edges()`` as index pairs."""
+    :func:`_check_amalgam`, given its embed1 words freely reduced, on
+    vertex codes: the plain pairs read off the rewritten relators are
+    compared with g's adjacency masks.
+
+    A relator that is a plain commutator (a, b, -a, -b) of two
+    generators that each stand for one letter, x and y with x != ±y,
+    becomes x y x⁻¹ y⁻¹, which is reduced: its pair is read off that
+    shape.  That covers every factor-1 relator of a star split and every
+    factor-2 relator away from the squared generator.  Every other
+    relator is substituted letter by letter, freely reduced when it
+    comes from factor 2, and read by :func:`_code_pair`."""
     f1gens = a.factor1.generators
     f2gens = a.factor2.generators
     edge_gens = a.edge_generators
-    embed1 = {e: free_reduce(a.embed1[e]) for e in edge_gens}
     embed2 = {e: free_reduce(a.embed2[e]) for e in edge_gens}
     shared = set(f1gens) & set(f2gens)
-    identity = {e: ((e, 1),) for e in edge_gens}
-    if shared == set(edge_gens) and embed1 == identity == embed2:
+    if shared == set(edge_gens) and embed1 == {e: ((e, 1),) for e in edge_gens} == embed2:
         suffix1 = suffix2 = ""
     elif shared or sum(map(_is_square, embed1.values())) != 1:
         return False
@@ -441,21 +447,41 @@ def _replay(g: Graph, a: Amalgam) -> bool:
         if subs[k] is None:
             subs[k] = tuple(e * by_label[y] for y, e in table[x])
     # signed lookups: entry c serves letter c, entry -c its inverse
-    look1 = (0, *code1, *(-c for c in reversed(code1)))
+    look1 = ((), *((c,) for c in code1), *((-c,) for c in reversed(code1)))
     look2 = ((), *subs, *(tuple(-c for c in reversed(w)) for w in reversed(subs)))
 
-    plain, powers = set(), set()
-    words = [[look1[c] for c in w] for w in a.factor1._codes]
-    words += [_reduce_codes([c for x in w for c in look2[x]]) for w in a.factor2._codes]
-    for w in words:
-        if not w:
-            continue
-        pair = _code_pair(w)
-        if pair is None:
-            return False
-        x, y = pair
-        (plain if len(w) == 4 else powers).add((x - 1, y - 1) if x < y else (y - 1, x - 1))
-    return plain == set(g.edges()) and powers <= plain
+    # plain[c]: the codes that share a plain commutator with code c, as
+    # bits c - 1, to be compared with g's adjacency masks
+    plain = [0] * (g.n + 1)
+    powers = []
+    for look, codes, reduce in ((look1, a.factor1._codes, False), (look2, a.factor2._codes, True)):
+        for w in codes:
+            if len(w) == 4 and w[2] == -w[0] and w[3] == -w[1]:
+                sx, sy = look[w[0]], look[w[1]]
+                if len(sx) == 1 and len(sy) == 1:
+                    x, y = abs(sx[0]), abs(sy[0])
+                    if x != y:
+                        plain[x] |= 1 << y - 1
+                        plain[y] |= 1 << x - 1
+                        continue
+            w = [c for x in w for c in look[x]]
+            if reduce:
+                w = _reduce_codes(w)
+            if not w:
+                continue
+            pair = _code_pair(w)
+            if pair is None:
+                return False
+            x, y = pair
+            if len(w) == 4:
+                plain[x] |= 1 << y - 1
+                plain[y] |= 1 << x - 1
+            else:
+                powers.append(pair)
+    adj = g.adjacency_masks
+    return all(plain[i + 1] == adj[i] for i in range(g.n)) and all(
+        plain[x] >> y - 1 & 1 for x, y in powers
+    )
 
 
 def _vertex_code(index: Mapping[str, int], x: str, suffix: str) -> int:
@@ -478,6 +504,7 @@ def verify_star_split(g: Graph, a: Amalgam) -> bool:
     _check_amalgam(a)
     if set(a.factor1.generators) & set(a.factor2.generators):
         raise InvalidAmalgamError("factor generator names overlap")
-    if sum(_is_square(free_reduce(a.embed1[e])) for e in a.edge_generators) != 1:
+    embed1 = {e: free_reduce(a.embed1[e]) for e in a.edge_generators}
+    if sum(map(_is_square, embed1.values())) != 1:
         return False
-    return _replay(g, a)
+    return _replay(g, a, embed1)

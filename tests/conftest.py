@@ -4,8 +4,9 @@ The oracles here deliberately avoid the library's own algorithms so
 they can catch systematic mistakes: separator checks run on plain
 adjacency sets, lattice distances come from multi-source BFS.
 ``minimal_separators_enumeration_oracle``, ``mcs_m_madj_oracle``,
+``graph_init_oracle``, ``induced_subgraph_oracle``,
 ``parse_edge_list_oracle``, ``parse_dot_oracle``,
-``ccd_recursion_oracle``,
+``ccd_recursion_oracle``, ``decompose_oracle``,
 ``verify_star_split_oracle``, ``verify_amalgam_oracle``,
 ``subgroup_points_oracle`` and
 ``deep_witnesses_oracle`` are instead the code that a rewrite replaced,
@@ -25,7 +26,12 @@ from scipy import ndimage
 
 from raagsplit import kernels
 from raagsplit.ccd import CcdTree
-from raagsplit.errors import GraphParseError, InvalidAmalgamError
+from raagsplit.errors import (
+    GraphParseError,
+    InternalInvariantError,
+    InvalidAmalgamError,
+    InvalidVertexError,
+)
 from raagsplit.formats import _DOT_ID, GraphDocument
 from raagsplit.graphs import Graph, _mask_to_set
 from raagsplit.lattice import LatticeScenario, SubgroupSpec, _echelon_basis, _subset_mask
@@ -44,6 +50,53 @@ from raagsplit.presentations import (
 
 # a graph file nested deeper than json.loads can recurse
 DEEP_JSON = b'{"vertices": ' + b"[" * 200_000 + b"]" * 200_000 + b"}"
+
+
+def graph_init_oracle(vertices, edges=()) -> tuple[tuple, tuple[int, ...]]:
+    """``Graph.__init__`` before it found each endpoint with one
+    ``dict.get`` and spotted a repeated edge by its adjacency bit: the
+    labels and adjacency masks it would store, or the error it raises."""
+    labels = tuple(vertices)
+    for v in labels:
+        if not isinstance(v, str):
+            raise InvalidVertexError(f"vertex labels must be strings, got {v!r}")
+    if len(set(labels)) != len(labels):
+        raise InvalidVertexError("duplicate vertex label")
+    index = {v: i for i, v in enumerate(labels)}
+    adj = [0] * len(labels)
+    seen = set()
+    for a, b in edges:
+        if not (isinstance(a, str) and isinstance(b, str)):
+            raise InvalidVertexError(f"edge endpoints must be strings, got {(a, b)!r}")
+        if a not in index:
+            raise InvalidVertexError(f"unknown edge endpoint {a!r}")
+        if b not in index:
+            raise InvalidVertexError(f"unknown edge endpoint {b!r}")
+        i, j = index[a], index[b]
+        if i == j:
+            raise InvalidVertexError(f"self-loop at {a!r}")
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            raise InvalidVertexError(f"duplicate edge {a!r} -- {b!r}")
+        seen.add(key)
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return labels, tuple(adj)
+
+
+def induced_subgraph_oracle(g: Graph, s) -> Graph:
+    """``Graph.induced_subgraph`` before it read a piece's edges off the
+    adjacency masks: it tests every pair of kept vertices."""
+    keep = g.vertex_set(s)
+    labels = [g.labels[i] for i in keep]
+    pos = {i: k for k, i in enumerate(keep)}
+    edges = []
+    for i in keep:
+        both = g.adjacency_masks[i]
+        for j in keep:
+            if j > i and both >> j & 1:
+                edges.append((labels[pos[i]], labels[pos[j]]))
+    return Graph(labels, edges)
 
 
 def mask_graph(n: int, mask: int, prefix: str = "v") -> Graph:
@@ -416,6 +469,53 @@ def ccd_recursion_oracle(g: Graph) -> CcdTree:
 
     pieces, edges, cuts = decompose(g.vertices())
     return CcdTree(tuple(pieces), tuple(edges), tuple(cuts))
+
+
+def decompose_oracle(g: Graph, cands: list[int], whole: int):
+    """``ccd._decompose`` before each half was handed its own
+    candidates: every piece scans all of g's candidates, keeping those
+    inside it, for the first that disconnects it."""
+    adj = g.adjacency_masks
+    pieces, edges, cuts = [], [], []
+    stack = [whole]
+    while stack:
+        top = stack.pop()
+        if isinstance(top, list):
+            if len(top) == 2:
+                top.append(len(pieces))
+                continue
+            cut, start, middle = top
+            attach = []
+            for lo, hi in ((start, middle), (middle, len(pieces))):
+                found = next(
+                    (i for i in range(lo, hi) if cut & ~pieces[i] == 0 and cut != pieces[i]),
+                    None,
+                )
+                if found is None:
+                    raise InternalInvariantError(
+                        f"no piece in subtree [{lo}, {hi}) properly contains the cut "
+                        f"{_mask_to_set(cut)}"
+                    )
+                attach.append(found)
+            edges.append((attach[0], attach[1]))
+            cuts.append(cut)
+            continue
+        cut = next(
+            (
+                c
+                for c in cands
+                if c & ~top == 0 and not kernels.is_connected_bits(adj, top & ~c)
+            ),
+            None,
+        )
+        if cut is None:
+            pieces.append(top)
+            continue
+        rest = top & ~cut
+        first = kernels.component_bits(adj, rest, rest & -rest)
+        record = [cut, len(pieces)]
+        stack += [record, top & ~first, record, cut | first]
+    return pieces, edges, cuts
 
 
 # star-split reference: the replay ``verify_star_split`` ran before

@@ -10,11 +10,14 @@ import pytest
 from conftest import (
     ccd_recursion_oracle,
     connected_graphs,
+    decompose_oracle,
     random_connected_graph,
     separates_oracle,
 )
+from raagsplit import kernels
 from raagsplit.ccd import (
     CcdTree,
+    _decompose,
     complete_cut_decomposition,
     graph_of_groups,
     validate_ccd,
@@ -271,3 +274,72 @@ class TestOnePassDifferential:
         t = complete_cut_decomposition(g)
         assert len(t.pieces) == 11
         assert calls == [g]
+
+
+def clique_sum(rng: random.Random, n: int, max_clique: int) -> Graph:
+    """Chordal graph on n vertices: each new vertex joins a random
+    sub-clique of an earlier clique, so every piece of its
+    decomposition is a clique of at most ``max_clique`` vertices."""
+    cliques = [[0]]
+    edges = set()
+    for v in range(1, n):
+        base = rng.choice(cliques)
+        attach = rng.sample(base, rng.randint(1, min(len(base), max_clique - 1)))
+        edges.update((u, v) for u in attach)
+        cliques.append(attach + [v])
+    labels = [f"v{i}" for i in range(n)]
+    return Graph(labels, [(labels[a], labels[b]) for a, b in sorted(edges)])
+
+
+def _decompose_corpus():
+    """Every connected labelled graph with at most 6 vertices, then
+    3,000 seeded connected graphs with 7 to 30 vertices: dense, sparse
+    tree-like and chordal clique-sums."""
+    for n in range(1, 7):
+        yield from connected_graphs(n)
+    rng = random.Random(11_2026)
+    for k in range(3000):
+        n = rng.randint(7, 30)
+        if k % 3 == 0:
+            yield random_connected_graph(rng, n)
+        elif k % 3 == 1:
+            yield clique_sum(rng, n, rng.randint(2, 6))
+        else:
+            labels = [f"v{i}" for i in range(n)]
+            edges = {(rng.randrange(i), i) for i in range(1, n)}
+            edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, n // 2))}
+            yield Graph(labels, [(labels[a], labels[b]) for a, b in sorted(edges)])
+
+
+class TestCandidateHandDown:
+    """``_decompose`` hands each half only its own candidates; the walk
+    it replaced, which rescans all of g's candidates for every piece, is
+    kept in conftest as ``decompose_oracle``."""
+
+    def test_matches_full_rescan(self):
+        count = 0
+        for g in _decompose_corpus():
+            cands = g._clique_separator_candidates()
+            whole = (1 << g.n) - 1
+            assert _decompose(g, cands, whole) == decompose_oracle(g, cands, whole), g.edges()
+            count += 1
+        assert count == 1 + 1 + 4 + 38 + 728 + 26704 + 3000
+
+    def test_connectivity_checks_per_piece_stay_bounded(self, monkeypatch):
+        # the full rescan made about 7-8 checks per piece on these graphs,
+        # the hand-down about 2.6, candidate filtering included
+        calls = []
+        original = kernels.is_connected_bits
+
+        def counted(adj, mask):
+            calls.append(mask)
+            return original(adj, mask)
+
+        monkeypatch.setattr(kernels, "is_connected_bits", counted)
+        rng = random.Random(512)
+        for _ in range(3):
+            g = clique_sum(rng, 512, 5)
+            calls.clear()
+            t = complete_cut_decomposition(g)
+            assert len(t.pieces) > 300
+            assert len(calls) <= 4 * len(t.pieces), (len(calls), len(t.pieces))

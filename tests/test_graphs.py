@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from conftest import (
     all_graphs,
     connected_graphs,
+    graph_init_oracle,
+    induced_subgraph_oracle,
     mask_graph,
     mcs_m_madj_oracle,
     minimal_clique_separators_oracle,
@@ -133,26 +135,26 @@ class TestStructure:
         assert not g.separates((0,))
         assert not g.separates((0, 1))  # leaves a single vertex
 
-    def test_clique_number_and_maximal_cliques(self):
+    def test_clique_number(self):
         g = Graph("abcd", [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")])
         assert g.clique_number() == 3
-        assert g.maximal_cliques() == [(0, 1, 2), (2, 3)]
         assert empty_graph(0).clique_number() == 0
-        assert empty_graph(3).maximal_cliques() == [(0,), (1,), (2,)]
+        assert empty_graph(3).clique_number() == 1
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(0, 6), st.integers(0, (1 << 15) - 1))
-    def test_maximal_cliques_against_itertools(self, n, mask):
+    def test_clique_number_against_itertools(self, n, mask):
         g = mask_graph(n, mask)
-        expect = []
-        for size in range(n, 0, -1):
-            for cand in itertools.combinations(range(n), size):
-                if g.is_clique(cand) and not any(
-                    set(cand) < set(c) for c in expect
-                ):
-                    expect.append(cand)
-        assert sorted(g.maximal_cliques()) == sorted(expect)
-        assert g.clique_number() == max((len(c) for c in expect), default=0)
+        expect = max(
+            (
+                size
+                for size in range(n + 1)
+                for cand in itertools.combinations(range(n), size)
+                if g.is_clique(cand)
+            ),
+            default=0,
+        )
+        assert g.clique_number() == expect
 
 
 class TestMinimalCliqueSeparators:
@@ -300,3 +302,113 @@ class TestMcsMLevels:
     def test_complete_graphs_have_no_separator(self):
         for m in range(1, 9):
             assert complete_graph(m).minimal_clique_separators() == []
+
+
+_FAULTS = (
+    "label type",
+    "duplicate label",
+    "endpoint type",
+    "unknown first",
+    "unknown second",
+    "self-loop",
+    "duplicate edge",
+    "reversed duplicate edge",
+)
+
+
+def _init_case(rng: random.Random):
+    """Seeded constructor arguments with no, one or two faults, each put
+    at a random position so that two faults race on order; returns the
+    labels, the edges and the faults applied."""
+    n = rng.randint(0, 7)
+    labels = [f"v{i}" for i in range(n)]
+    edges = [
+        (labels[i], labels[j]) if rng.random() < 0.5 else (labels[j], labels[i])
+        for i, j in itertools.combinations(range(n), 2)
+        if rng.random() < 0.5
+    ]
+    rng.shuffle(edges)
+    faults = rng.sample(_FAULTS, rng.choice((0, 1, 1, 2)))
+    for fault in faults:
+        some = rng.choice(labels) if labels else "v0"
+        if fault == "label type":
+            labels.insert(rng.randint(0, n), rng.choice((1, None, 2.0, True, b"v0", ("v0",))))
+            continue
+        if fault == "duplicate label":
+            labels.insert(rng.randint(0, len(labels)), some)
+            continue
+        if fault == "endpoint type":
+            bad = rng.choice((0, None, 1.5, b"v1", ["v0"]))
+            edge = (some, bad) if rng.random() < 0.5 else (bad, some)
+        elif fault == "unknown first":
+            edge = ("w", some)
+        elif fault == "unknown second":
+            edge = (some, "w")
+        elif fault == "self-loop":
+            edge = (some, some)
+        elif edges:
+            a, b = rng.choice(edges)
+            edge = (a, b) if fault == "duplicate edge" else (b, a)
+        else:
+            continue
+        edges.insert(rng.randint(0, len(edges)), edge)
+    return labels, edges, faults
+
+
+def _built(build, labels, edges):
+    try:
+        return build(labels, edges)
+    except Exception as exc:  # the outcome compared is the error itself
+        return type(exc), str(exc)
+
+
+def _stored(labels, edges):
+    g = Graph(labels, edges)
+    return g.labels, g.adjacency_masks
+
+
+class TestConstructorDifferential:
+    """``Graph(...)`` against the constructor it replaced, kept in
+    conftest as ``graph_init_oracle``: the same labels and masks, or the
+    same error type and message."""
+
+    def test_seeded_inputs_with_every_fault(self):
+        rng = random.Random(0x6A7)
+        single = set()
+        errors = 0
+        for _ in range(6000):
+            labels, edges, faults = _init_case(rng)
+            got = _built(_stored, labels, edges)
+            assert got == _built(graph_init_oracle, labels, edges), (labels, edges)
+            if isinstance(got[0], type):
+                errors += 1
+                assert got[0] is InvalidVertexError, got
+                if len(faults) == 1:
+                    single |= set(faults)
+        assert single == set(_FAULTS)
+        assert 0 < errors < 6000
+
+
+class TestInducedSubgraphDifferential:
+    """``induced_subgraph`` against the pair scan it replaced, kept in
+    conftest as ``induced_subgraph_oracle``."""
+
+    def test_every_subset_of_graphs_up_to_five_vertices(self):
+        for n in range(6):
+            for g in all_graphs(n):
+                for bits in range(1 << n):
+                    keep = [i for i in range(n) if bits >> i & 1]
+                    assert g.induced_subgraph(keep) == induced_subgraph_oracle(g, keep)
+
+    def test_seeded_subsets_and_bad_indices(self):
+        rng = random.Random(0x5B6)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(6, 40))
+            keep = rng.sample(range(g.n), rng.randint(0, g.n))
+            got = g.induced_subgraph(keep)
+            assert got == induced_subgraph_oracle(g, keep)
+            assert got.labels == tuple(g.labels[i] for i in sorted(keep))
+            bad = keep + [rng.choice((-1, g.n, True, 1.0))]
+            assert _built(Graph.induced_subgraph, g, bad) == _built(
+                induced_subgraph_oracle, g, bad
+            )

@@ -21,6 +21,5 @@ def test_graphs_over_64_vertices():
 def test_empty_inputs():
     assert kernels.components_bits([], 0) == []
     assert kernels.is_connected_bits([], 0)
-    assert kernels.maximal_cliques_bits([0, 0], 0) == []
     assert kernels.first_clique_of_size_bits([0, 0], 0b11, 0) == 0
     assert kernels.first_clique_of_size_bits([0, 0], 0b11, 2) is None

@@ -592,6 +592,32 @@ class TestCodedWords:
             assert verify_amalgam(g, a) is True
             assert verify_amalgam_oracle(g, a) is True
 
+    def test_shape_read_agrees_when_letters_collide(self):
+        # two edge generators embedded as the same factor-1 letter x turn
+        # a factor-2 commutator into x x x⁻¹ x⁻¹, or, written as
+        # (a, -b, -a, b) (which only the unchecked constructor stores),
+        # into x x⁻¹ x⁻¹ x: shapes the replay must not read as plain
+        # commutators
+        compared = 0
+        for g, a in _star_split_corpus():
+            if g.n > 4:
+                continue
+            singles = [e for e in a.edge_generators if len(a.embed1[e]) == 1]
+            inverted = Presentation._from_codes(
+                a.factor2.generators, tuple((x, -y, -x, y) for x, y, _, _ in a.factor2._codes)
+            )
+            one_flip = _edit_relators(a.factor2, lambda rels: [_flip(w, 1) for w in rels])
+            for e in singles:
+                for f in a.edge_generators:
+                    if f == e:
+                        continue
+                    for factor2 in (a.factor2, inverted, one_flip):
+                        edited = replace(a, factor2=factor2, embed1={**a.embed1, f: a.embed1[e]})
+                        expect = _outcome(verify_amalgam_oracle, g, edited)
+                        assert _outcome(verify_amalgam, g, edited) == expect, (g.edges(), edited)
+                        compared += 1
+        assert compared > 1000
+
     def test_replay_matches_oracle_on_seeded_edits(self):
         star = list(_star_split_corpus())
         direct = [(g, a) for g, a, kind in _emitted_amalgams(5) if kind == DIRECT_AMALGAM]
