@@ -45,20 +45,37 @@ from .splitting import (
 DEFAULT_MAX_VERTICES = 64
 
 
-def _max_vertices() -> int:
-    raw = os.environ.get("RAAGSPLIT_MAX_VERTICES")
-    if raw is None:
-        return DEFAULT_MAX_VERTICES
-    # ASCII digits only: int() would also take spaces, underscores, a
-    # sign and non-ASCII digits
-    if raw.isascii() and raw.isdigit():
+def _decimal(raw: str, signed: bool = False) -> int | None:
+    """``raw`` as an int if it is ASCII decimal digits, after one
+    leading ``-`` when ``signed``; otherwise None.  int() alone would
+    also take spaces, underscores, a ``+`` and non-ASCII digits."""
+    digits = raw[1:] if signed and raw.startswith("-") else raw
+    if digits.isascii() and digits.isdigit():
         try:
             return int(raw)
         except ValueError:  # past int()'s limit on digits
             pass
-    raise RaagsplitError(
-        f"RAAGSPLIT_MAX_VERTICES must be a non-negative integer in decimal digits, got {raw!r}"
-    )
+    return None
+
+
+def _int_arg(raw: str) -> int:
+    """argparse type for ``-n/--rank`` and ``--seed``."""
+    value = _decimal(raw, signed=True)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"must be an integer in decimal digits, got {raw!r}")
+    return value
+
+
+def _max_vertices() -> int:
+    raw = os.environ.get("RAAGSPLIT_MAX_VERTICES")
+    if raw is None:
+        return DEFAULT_MAX_VERTICES
+    value = _decimal(raw)
+    if value is None:
+        raise RaagsplitError(
+            f"RAAGSPLIT_MAX_VERTICES must be a non-negative integer in decimal digits, got {raw!r}"
+        )
+    return value
 
 
 def _word_json(word) -> list:
@@ -158,25 +175,25 @@ def build_parser() -> argparse.ArgumentParser:
         c.add_argument("file", help="graph file")
         c.add_argument("--format", choices=FORMATS, help="input format (default: sniff)")
         c.add_argument("--json", metavar="OUT", help="write the run report here instead of stdout")
-        c.add_argument("--seed", type=int, help="seed echoed into the report")
+        c.add_argument("--seed", type=_int_arg, help="seed echoed into the report")
         return c
 
     c = graph_command("decide", "does the group split over free abelian of the given rank")
-    c.add_argument("-n", "--rank", type=int, required=True)
+    c.add_argument("-n", "--rank", type=_int_arg, required=True)
     graph_command("spectrum", "all ranks the group splits over")
     c = graph_command("ccd", "complete-cut-decomposition and its graph of groups")
     c.add_argument("--dot", metavar="OUT", help="write a DOT rendering of the tree")
     c = graph_command("witness", "splitting witness plus the corresponding amalgam")
-    c.add_argument("-n", "--rank", type=int, required=True)
+    c.add_argument("-n", "--rank", type=_int_arg, required=True)
     graph_command("present", "canonical presentation of the group")
     c = graph_command("star-split", "amalgam along the star of a vertex, with verification")
     c.add_argument("-u", "--vertex", required=True, help="vertex label")
     c = sub.add_parser("lattice", help="finite-box coarse-separation experiment")
     c.add_argument("file", help="scenario JSON file")
     c.add_argument("--json", metavar="OUT", help="write the run report here instead of stdout")
-    c.add_argument("--seed", type=int, help="seed echoed into the report")
+    c.add_argument("--seed", type=_int_arg, help="seed echoed into the report")
     c = graph_command("oracle", "brute-force splitting decision, for cross-checking")
-    c.add_argument("-n", "--rank", type=int, required=True)
+    c.add_argument("-n", "--rank", type=_int_arg, required=True)
     return parser
 
 

@@ -107,14 +107,13 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         """Edges as sorted index pairs, in lexicographic order."""
         out = []
-        for i in range(self.n):
-            higher = self._adj[i] >> (i + 1)
-            j = i + 1
-            while higher:
-                if higher & 1:
-                    out.append((i, j))
-                higher >>= 1
-                j += 1
+        for i, nbrs in enumerate(self._adj):
+            # the later neighbours of i, lowest set bit first
+            later = nbrs & ~((2 << i) - 1)
+            while later:
+                low = later & -later
+                later ^= low
+                out.append((i, low.bit_length() - 1))
         return out
 
     def __eq__(self, other):

@@ -16,6 +16,9 @@ subset points inside the box; the ℓ¹ metric is geodesically convex on
 the box, so the chamfer transform below computes them exactly.
 C order is lexicographic order, so a deep component's witness, its
 smallest point at distance >= D, is its first such cell in the array.
+Listed in C order, the deep cells fall into runs of equal component
+labels, and that first cell starts one of the runs; the witnesses are
+read off the run starts alone.
 """
 
 from __future__ import annotations
@@ -234,16 +237,29 @@ def deep_components(sc: LatticeScenario) -> SeparationReport:
     what is left by unit steps, and reports the components containing a
     point at distance >= D.  Each one's witness is its first such point
     in C order, which is lexicographic order; witnesses come sorted.
+
+    The deep cells are listed in C order, so a component's first deep
+    cell starts a run of equal labels in that list.  Only the run
+    starts, about one or two per box row, are searched for each label's
+    first occurrence; the other deep cells are never sorted.
     """
     n, R = sc.ambient_rank, sc.box_radius
     subset = _subset_mask(sc)
     # chamfer transform with the taxicab metric is exact ℓ¹ here
     dist = ndimage.distance_transform_cdt(~subset, metric="taxicab")
-    keep = dist > sc.thickening
-    labels, total = ndimage.label(keep, structure=ndimage.generate_binary_structure(n, 1))
-    deep = np.flatnonzero(keep & (dist >= sc.depth))
-    _, first = np.unique(labels.ravel()[deep], return_index=True)
-    coords = np.unravel_index(deep[first], labels.shape)
+    labels, total = ndimage.label(
+        dist > sc.thickening, structure=ndimage.generate_binary_structure(n, 1)
+    )
+    # dist is integral, so dist > L and dist >= D read dist >= max(D, L + 1)
+    deep = np.flatnonzero(dist >= max(sc.depth, sc.thickening + 1))
+    lab = labels.ravel()[deep]
+    # run starts: position 0 and every change of label
+    is_start = np.empty(lab.size, dtype=bool)
+    is_start[:1] = True
+    np.not_equal(lab[1:], lab[:-1], out=is_start[1:])
+    starts = np.flatnonzero(is_start)
+    _, first = np.unique(lab[starts], return_index=True)
+    coords = np.unravel_index(deep[starts[first]], labels.shape)
     witnesses = sorted(zip(*((c - R).tolist() for c in coords)))
     return SeparationReport(
         total_components=int(total),

@@ -130,6 +130,21 @@ class TestDecide:
         code, _, err = run(capsys, ["decide", "-n", "-1", files["p2.json"]])
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "raw",
+        ["٣", "1_0", " 2 ", "+2", "2.0", "0x2", "-", "", pytest.param("1" * 5000, id="5000-digits")],
+    )
+    @pytest.mark.parametrize("flag", ["-n", "--seed"])
+    def test_integers_take_only_ascii_digits(self, files, capsys, flag, raw):
+        argv = ["decide", files["p2.json"], flag, raw]
+        if flag == "--seed":
+            argv[1:1] = ["-n", "1"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert "must be an integer in decimal digits" in err
+        ok = run(capsys, ["decide", files["p2.json"], "-n", "1", "--seed", "-10"])
+        assert ok[0] == 0 and envelope(ok[1])["seed"] == -10
+
 
 class TestOracleCommand:
     def test_yes_no_exit_codes(self, files, capsys):

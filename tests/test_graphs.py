@@ -99,6 +99,12 @@ class TestConstruction:
         assert path_graph(4).edges() == [(0, 1), (1, 2), (2, 3)]
         assert cycle_graph(4).edges() == [(0, 1), (0, 3), (1, 2), (2, 3)]
         assert empty_graph(3).edges() == []
+        rng = random.Random(0xED6E)
+        graphs = [g for n in range(6) for g in all_graphs(n)]
+        graphs += [random_graph(rng, 64, p) for p in (0.03, 0.1, 0.5, 0.9) for _ in range(3)]
+        for g in graphs:
+            pairs = itertools.combinations(range(g.n), 2)
+            assert g.edges() == [(i, j) for i, j in pairs if g.adjacent(i, j)]
         assert complete_graph(0).n == 0
         with pytest.raises(InvalidArgumentError):
             cycle_graph(2)

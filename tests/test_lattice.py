@@ -176,6 +176,25 @@ def _random_scenario(rng: random.Random) -> tuple[LatticeScenario, str]:
     return LatticeScenario(n, spec, R, L, D), kind
 
 
+# Boxes of the benchmark's lattice sizes, where each box row holds long
+# runs of one label: (rank, radius, subset, thickening, depth), one of
+# each subset kind, five with depth <= thickening
+_BENCHMARK_BOXES = [
+    (3, 40, SubgroupSpec(((1, 0, 0), (1, 1, 0))), 1, 10),
+    (3, 40, CatalogSpec("half-hyperplane"), 1, 30),
+    (3, 30, SubgroupSpec(()), 2, 2),
+    (3, 30, SubgroupSpec(((2, 0, 0), (0, 2, 0), (0, 0, 2))), 1, 1),
+    (3, 30, CatalogSpec("hyperplane"), 4, 3),
+    (4, 12, SubgroupSpec(((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))), 1, 8),
+    (4, 10, CatalogSpec("half-hyperplane"), 1, 2),
+    (4, 10, CatalogSpec("half-line"), 3, 1),
+    (2, 48, CatalogSpec("hyperplane"), 1, 12),
+    (2, 48, CatalogSpec("half-hyperplane"), 2, 2),
+    (2, 40, SubgroupSpec(((3, 1),)), 0, 5),
+    (2, 24, SubgroupSpec(((4, 6),)), 1, 6),
+]
+
+
 class TestWitnessDifferential:
     """Single-pass witnesses against the per-label loop they replaced,
     kept in conftest as ``deep_witnesses_oracle``."""
@@ -197,6 +216,17 @@ class TestWitnessDifferential:
         assert ranks == {1, 2, 3, 4} and thickenings == {0, 1, 2}
         assert kinds == {"rank0", "subgroup", "nonprimitive", *CATALOG_TAGS}
         assert deep_counts == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize(
+        "n, radius, spec, thickening, depth",
+        _BENCHMARK_BOXES,
+        ids=[f"n{b[0]}-R{b[1]}-L{b[3]}-D{b[4]}" for b in _BENCHMARK_BOXES],
+    )
+    def test_benchmark_sized_boxes(self, n, radius, spec, thickening, depth):
+        sc = LatticeScenario(n, spec, radius, thickening, depth)
+        total, witnesses = deep_witnesses_oracle(sc)
+        report = deep_components(sc)
+        assert (report.total_components, report.deep_witnesses) == (total, witnesses)
 
     def test_witness_order_is_not_label_order(self):
         # the component below the line holds the box's first cell, so it
