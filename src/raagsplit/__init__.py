@@ -17,8 +17,8 @@ Entry points:
 * :mod:`raagsplit.lattice` for the lattice experiments
 * :mod:`raagsplit.formats` and :mod:`raagsplit.cli` for I/O
 
-The graph layers and the graph commands import neither numpy nor scipy.
-:mod:`raagsplit.lattice` and the ``lattice`` command need both, so the
+The graph layers and the graph commands do not import numpy.
+:mod:`raagsplit.lattice` and the ``lattice`` command need it, so the
 package imports the lattice module on first use of a lattice name such
 as ``LatticeScenario`` or ``deep_components``.
 """

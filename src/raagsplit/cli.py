@@ -216,7 +216,7 @@ def _run(args) -> tuple[dict, int]:
     digest = hashlib.sha256(raw).hexdigest()
 
     if args.command == "lattice":
-        # numpy and scipy load here, so graph commands start without them
+        # numpy loads here, so graph commands start without it
         from .lattice import deep_components, report_to_dict, scenario_from_dict
 
         try:

@@ -13,12 +13,11 @@ infinite lattice; every report carries its scenario and says so.
 All distances are ℓ¹ (the word metric of ℤⁿ on standard generators)
 and all arithmetic is integer-exact.  Distances are measured to the
 subset points inside the box; the ℓ¹ metric is geodesically convex on
-the box, so the chamfer transform below computes them exactly.
-C order is lexicographic order, so a deep component's witness, its
-smallest point at distance >= D, is its first such cell in the array.
-Listed in C order, the deep cells fall into runs of equal component
-labels, and that first cell starts one of the runs; the witnesses are
-read off the run starts alone.
+the box, so the per-axis sweeps of ``_ndimage.taxicab_distance``
+compute them exactly.  C order is lexicographic order, so a deep
+component's witness, its smallest point at distance >= D, is its first
+such cell in the array.  That cell starts a run of deep cells along its
+box row, so the witnesses are read off those run starts alone.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy import ndimage
 
+from . import _ndimage as ndimage
 from .errors import InvalidScenarioError, ScenarioTooLargeError
 
 MAX_AMBIENT_RANK = 4
@@ -238,31 +237,26 @@ def deep_components(sc: LatticeScenario) -> SeparationReport:
     point at distance >= D.  Each one's witness is its first such point
     in C order, which is lexicographic order; witnesses come sorted.
 
-    The deep cells are listed in C order, so a component's first deep
-    cell starts a run of equal labels in that list.  Only the run
-    starts, about one or two per box row, are searched for each label's
-    first occurrence; the other deep cells are never sorted.
+    Distances and components come from the numpy kernels in
+    ``_ndimage``: ℓ¹ sweeps along each axis, and labels joined over runs
+    of kept cells along the last axis.  A component's first deep cell
+    starts a run of deep cells along its box row; only those run
+    starts, about one or two per row, are searched for each component's
+    first occurrence.
     """
-    n, R = sc.ambient_rank, sc.box_radius
+    R = sc.box_radius
     subset = _subset_mask(sc)
-    # chamfer transform with the taxicab metric is exact ℓ¹ here
-    dist = ndimage.distance_transform_cdt(~subset, metric="taxicab")
-    labels, total = ndimage.label(
-        dist > sc.thickening, structure=ndimage.generate_binary_structure(n, 1)
-    )
+    dist = ndimage.taxicab_distance(subset)
+    first, label, total = ndimage.label_runs(dist > sc.thickening)
     # dist is integral, so dist > L and dist >= D read dist >= max(D, L + 1)
-    deep = np.flatnonzero(dist >= max(sc.depth, sc.thickening + 1))
-    lab = labels.ravel()[deep]
-    # run starts: position 0 and every change of label
-    is_start = np.empty(lab.size, dtype=bool)
-    is_start[:1] = True
-    np.not_equal(lab[1:], lab[:-1], out=is_start[1:])
-    starts = np.flatnonzero(is_start)
-    _, first = np.unique(lab[starts], return_index=True)
-    coords = np.unravel_index(deep[starts[first]], labels.shape)
+    at = np.flatnonzero(ndimage.run_starts(dist >= max(sc.depth, sc.thickening + 1)))
+    # a deep cell is kept, so it lies in the last run starting at or before it
+    comp = label[np.searchsorted(first, at, side="right") - 1]
+    _, pick = np.unique(comp, return_index=True)
+    coords = np.unravel_index(at[pick], dist.shape)
     witnesses = sorted(zip(*((c - R).tolist() for c in coords)))
     return SeparationReport(
-        total_components=int(total),
+        total_components=total,
         deep_components=len(witnesses),
         deep_witnesses=tuple(witnesses),
         scenario=sc,

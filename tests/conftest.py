@@ -768,10 +768,13 @@ def subgroup_points_oracle(spec: SubgroupSpec, n: int, radius: int) -> list:
 
 def deep_witnesses_oracle(sc: LatticeScenario) -> tuple[int, tuple]:
     """Total component count and sorted deep witnesses of ``sc``, the way
-    ``deep_components`` found them before its single-pass rewrite: the
-    subgroup points written into the mask one at a time, then one scan
-    of the whole box per deep label and the least of that label's deep
-    cells.  Catalog masks come from the library's own ``_subset_mask``."""
+    ``deep_components`` found them before its single-pass rewrite and
+    before its numpy kernels: the subgroup points written into the mask
+    one at a time, ``scipy.ndimage``'s chamfer distance and labelling,
+    then one scan of the whole box per deep label for the least flat
+    index of that label's deep cells, which is its least cell because C
+    order is lexicographic.  Catalog masks come from the library's own
+    ``_subset_mask``."""
     n, R = sc.ambient_rank, sc.box_radius
     if isinstance(sc.subset_spec, SubgroupSpec):
         subset = np.zeros((2 * R + 1,) * n, dtype=bool)
@@ -785,9 +788,8 @@ def deep_witnesses_oracle(sc: LatticeScenario) -> tuple[int, tuple]:
     deep_mask = keep & (dist >= sc.depth)
     witnesses = []
     for lab in np.unique(labels[deep_mask]):
-        cells = np.argwhere((labels == lab) & deep_mask)
-        first = min(map(tuple, cells))
-        witnesses.append(tuple(int(x) - R for x in first))
+        first = np.flatnonzero((labels == lab) & deep_mask)[0]
+        witnesses.append(tuple(int(x) - R for x in np.unravel_index(first, labels.shape)))
     return int(total), tuple(sorted(witnesses))
 
 

@@ -16,6 +16,7 @@ import raagsplit
 from conftest import DEEP_JSON
 from raagsplit.cli import main, schema_for
 from raagsplit.graphs import Graph
+from raagsplit.lattice import deep_components, report_to_dict, scenario_from_dict
 
 P2_JSON = '{"vertices":["a","b","c"],"edges":[["a","b"],["b","c"]]}'
 C4_EDGES = "a b\nb c\nc d\nd a\n"
@@ -389,20 +390,63 @@ print("ok")
 """
 
 
+COLD_LATTICE = """
+import json
+import sys
+
+# from here on, any import of scipy raises ImportError
+sys.modules["scipy"] = None
+
+import raagsplit.cli
+from raagsplit import lattice
+
+assert raagsplit.cli.main(["lattice", sys.argv[1]]) == 0
+with open(sys.argv[1]) as f:
+    report = lattice.deep_components(lattice.scenario_from_dict(json.load(f)))
+print(json.dumps(lattice.report_to_dict(report)))
+assert "numpy" in sys.modules
+loaded = sorted(m for m in sys.modules if m.startswith("scipy."))
+assert sys.modules["scipy"] is None and not loaded, f"lattice imported {loaded}"
+"""
+
+LATTICE_BOX = {
+    "ambient_rank": 3,
+    "subset_spec": {"kind": "catalog", "tag": "hyperplane"},
+    "box_radius": 12,
+    "thickening": 1,
+    "depth": 3,
+}
+
+
+def run_cold(script: str, path: str) -> subprocess.CompletedProcess:
+    src = str(Path(raagsplit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script, path],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
 class TestColdImport:
     def test_graph_commands_skip_numpy_and_scipy(self, files):
-        src = str(Path(raagsplit.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", COLD_IMPORT, files["p2.json"]],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
+        proc = run_cold(COLD_IMPORT, files["p2.json"])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.endswith("ok\n")
+
+    def test_lattice_runs_without_scipy(self, files, capsys):
+        path = files["dir"] / "box.json"
+        path.write_text(json.dumps(LATTICE_BOX))
+        proc = run_cold(COLD_LATTICE, str(path))
+        assert proc.returncode == 0, proc.stderr
+        code, out, _ = run(capsys, ["lattice", str(path)])
+        assert code == 0
+        report = deep_components(scenario_from_dict(LATTICE_BOX))
+        assert report.deep_components == 2
+        assert proc.stdout == out + json.dumps(report_to_dict(report)) + "\n"
 
 
 class TestInputHandling:

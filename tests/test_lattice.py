@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from conftest import (
     bfs_distances,
@@ -18,6 +19,7 @@ from conftest import (
     grid_components,
     subgroup_points_oracle,
 )
+from raagsplit import _ndimage
 from raagsplit.errors import InvalidScenarioError, ScenarioTooLargeError
 from raagsplit.lattice import (
     CATALOG_TAGS,
@@ -28,6 +30,7 @@ from raagsplit.lattice import (
     SeparationReport,
     SubgroupSpec,
     _subgroup_points,
+    _subset_mask,
     check_rank_separation,
     deep_components,
     quasi_density_check,
@@ -178,7 +181,11 @@ def _random_scenario(rng: random.Random) -> tuple[LatticeScenario, str]:
 
 # Boxes of the benchmark's lattice sizes, where each box row holds long
 # runs of one label: (rank, radius, subset, thickening, depth), one of
-# each subset kind, five with depth <= thickening
+# each subset kind, five with depth <= thickening.  After them, the hard
+# cases of the run labeller: the dense 2Z^3 and 2Z^4, whose rows break
+# into tens of thousands of short runs, a rank-1 box with no second axis
+# to join runs along, and a rank-3 box with no thickening, whose plane
+# x + y + z = 0 cuts the box by its points alone.
 _BENCHMARK_BOXES = [
     (3, 40, SubgroupSpec(((1, 0, 0), (1, 1, 0))), 1, 10),
     (3, 40, CatalogSpec("half-hyperplane"), 1, 30),
@@ -192,6 +199,10 @@ _BENCHMARK_BOXES = [
     (2, 48, CatalogSpec("half-hyperplane"), 2, 2),
     (2, 40, SubgroupSpec(((3, 1),)), 0, 5),
     (2, 24, SubgroupSpec(((4, 6),)), 1, 6),
+    (4, 10, SubgroupSpec(((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))), 1, 3),
+    (3, 30, SubgroupSpec(((2, 0, 0), (0, 2, 0), (0, 0, 2))), 1, 3),
+    (1, 64, SubgroupSpec(((5,),)), 1, 2),
+    (3, 30, SubgroupSpec(((1, -1, 0), (0, 1, -1))), 0, 5),
 ]
 
 
@@ -235,6 +246,47 @@ class TestWitnessDifferential:
         report = deep_components(sc)
         assert report.deep_witnesses == ((-14, 5), (-5, -14))
         assert (report.total_components, report.deep_witnesses) == deep_witnesses_oracle(sc)
+
+
+class TestKernels:
+    """The numpy distance and labelling kernels against the
+    ``scipy.ndimage`` calls they replaced."""
+
+    @pytest.mark.parametrize("n, radius", [(1, 64), (2, 64), (3, 62), (4, 18)])
+    def test_distance_on_the_largest_boxes(self, n, radius):
+        # the zero subgroup leaves only the origin, so distances are ℓ¹
+        # norms up to n·R, the most any admissible box can need
+        subset = _subset_mask(LatticeScenario(n, SubgroupSpec(()), radius, 0, 1))
+        dist = _ndimage.taxicab_distance(subset)
+        assert dist.dtype == np.uint8 and int(dist.max()) == n * radius < _ndimage.FAR
+        assert np.array_equal(dist, ndimage.distance_transform_cdt(~subset, metric="taxicab"))
+        coords = np.abs(np.arange(-radius, radius + 1))
+        norm = sum(coords.reshape((-1,) + (1,) * (n - 1 - axis)) for axis in range(n))
+        assert np.array_equal(dist, norm)
+
+    def test_labels_match_scipy(self):
+        rng = np.random.default_rng(0x1AB5)
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            shape = tuple(int(x) for x in rng.integers(1, (40, 14, 8, 6)[n - 1], size=n))
+            keep = rng.random(shape) < rng.choice((0.2, 0.5, 0.65, 0.9))
+            first, label, total = _ndimage.label_runs(keep)
+            cells = np.flatnonzero(keep)
+            ours = label[np.searchsorted(first, cells, side="right") - 1]
+            theirs, count = ndimage.label(keep, structure=ndimage.generate_binary_structure(n, 1))
+            theirs = theirs.ravel()[cells]
+            assert total == count == np.unique(ours).size
+            # the same partition: as many distinct label pairs as labels
+            pairs = np.unique(np.stack([ours, theirs]), axis=1)
+            assert pairs.shape[1] == total
+            assert np.array_equal(first, np.flatnonzero(keep & ~_shifted(keep)))
+
+
+def _shifted(keep: np.ndarray) -> np.ndarray:
+    """Each cell's predecessor along the last axis, False at row starts."""
+    out = np.zeros_like(keep)
+    out[..., 1:] = keep[..., :-1]
+    return out
 
 
 def subgroup_rows(spec, n, radius):
