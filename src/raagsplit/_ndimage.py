@@ -3,10 +3,12 @@
 ``taxicab_distance`` is the exact ℓ¹ distance transform by separable
 sequential sweeps (Rosenfeld and Pfaltz, J. ACM 13(4), 1966): one
 forward and one backward pass of ``d[i] = min(d[i], d[i ∓ 1] + 1)``
-along each axis.  ``label_runs`` labels face-connected components by
-runs along the last axis rather than by cells (after He, Chao and
-Suzuki, IEEE TIP 17(5), 2008): runs that overlap in neighbouring rows
-are joined by min-root hooking and pointer jumping.
+along the leading axis, whose planes are contiguous, then a rotation of
+the axes that brings the next one to the front.  ``label_runs`` labels
+face-connected components by runs along the last axis rather than by
+cells (after He, Chao and Suzuki, IEEE TIP 17(5), 2008): runs that
+overlap in neighbouring rows are joined by min-root hooking and pointer
+jumping.
 
 ``lattice`` imports this module as ``ndimage`` and calls both kernels
 through that name at call time.
@@ -28,20 +30,25 @@ FAR = 254
 def taxicab_distance(subset: np.ndarray) -> np.ndarray:
     """ℓ¹ distance from every cell of the box to the nearest True cell
     of ``subset``, as uint8.  Exact wherever that distance is below
-    ``FAR``; cells with no True cell in reach read ``FAR``."""
+    ``FAR``; cells with no True cell in reach read ``FAR``.
+
+    Each axis is swept while it leads, so every plane the sweep reads
+    and writes is contiguous; then the leading axis moves to the back.
+    After one turn per axis the axes are in their first order again.
+    """
     dist = np.where(subset, np.uint8(0), np.uint8(FAR))
     one = np.uint8(1)
-    for axis in range(dist.ndim):
-        planes = np.moveaxis(dist, axis, 0)
-        # planes[i, ...] is a view even on a 1-D box
-        step = np.empty(planes.shape[1:], dtype=np.uint8)
-        size = planes.shape[0]
+    for _ in range(dist.ndim):
+        # dist[i, ...] is a view even on a 1-D box
+        step = np.empty(dist.shape[1:], dtype=np.uint8)
+        size = dist.shape[0]
         for i in range(1, size):
-            np.add(planes[i - 1, ...], one, out=step)
-            np.minimum(planes[i, ...], step, out=planes[i, ...])
+            np.add(dist[i - 1, ...], one, out=step)
+            np.minimum(dist[i, ...], step, out=dist[i, ...])
         for i in range(size - 2, -1, -1):
-            np.add(planes[i + 1, ...], one, out=step)
-            np.minimum(planes[i, ...], step, out=planes[i, ...])
+            np.add(dist[i + 1, ...], one, out=step)
+            np.minimum(dist[i, ...], step, out=dist[i, ...])
+        dist = np.ascontiguousarray(np.moveaxis(dist, 0, -1))
     return dist
 
 
@@ -59,10 +66,14 @@ def label_runs(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     padded = np.zeros((keep.size // width, width + 1), dtype=bool)
     padded[:, :width] = keep.reshape(-1, width)
     flat = padded.ravel()
-    begins = run_starts(flat)
-    first = np.flatnonzero(begins)
-    # run number, counted from 1, of every True cell
-    run_of = np.cumsum(begins, dtype=np.int32)
+    first = np.flatnonzero(run_starts(flat))
+    if not first.size:
+        return first, np.zeros(0, dtype=np.int32), 0
+    # run_of[p - first[0]] is the number of the last run starting at or
+    # before cell p, so the run holding p when p is True
+    run_of = np.repeat(
+        np.arange(first.size, dtype=np.int32), np.diff(first, append=flat.size)
+    )
 
     # edges (lo, hi) between runs, lo's run first in C order: one for
     # each run of kept cells whose neighbours one step further along an
@@ -75,12 +86,11 @@ def label_runs(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         both = np.zeros_like(rows)
         np.logical_and(rows[:, :-1], rows[:, 1:], out=both[:, :-1])
         at = np.flatnonzero(run_starts(both.ravel()))
+        at -= first[0]
         lo.append(run_of.take(at))
         at += stride
         hi.append(run_of.take(at))
     lo, hi = np.concatenate(lo), np.concatenate(hi)
-    lo -= 1
-    hi -= 1
 
     label = np.arange(first.size, dtype=np.int32)
     while lo.size:

@@ -13,11 +13,14 @@ infinite lattice; every report carries its scenario and says so.
 All distances are ℓ¹ (the word metric of ℤⁿ on standard generators)
 and all arithmetic is integer-exact.  Distances are measured to the
 subset points inside the box; the ℓ¹ metric is geodesically convex on
-the box, so the per-axis sweeps of ``_ndimage.taxicab_distance``
-compute them exactly.  C order is lexicographic order, so a deep
-component's witness, its smallest point at distance >= D, is its first
-such cell in the array.  That cell starts a run of deep cells along its
-box row, so the witnesses are read off those run starts alone.
+the box, so the sweeps of ``_ndimage.taxicab_distance``, one axis at a
+time while it leads the array, compute them exactly.  A subgroup that
+is a sum of multiples of axes is written into the box by strided
+slices; any other is enumerated point by point.  C order is
+lexicographic order, so a deep component's witness, its smallest point
+at distance >= D, is its first such cell in the array.  That cell
+starts a run of deep cells along its box row, so the witnesses are read
+off those run starts alone.
 """
 
 from __future__ import annotations
@@ -134,10 +137,12 @@ class SeparationReport:
 
 
 def _echelon_basis(generators: Sequence[Point]) -> list[list[int]]:
-    """Integer row-echelon basis of the subgroup the generators span.
+    """Hermite normal form basis of the subgroup the generators span.
 
     Plain integer Gaussian elimination with gcd steps; pivots positive,
-    rows ordered by pivot column.  Same subgroup, triangular shape.
+    rows ordered by pivot column, and every entry above a pivot reduced
+    into [0, pivot).  Same subgroup, triangular shape; a subgroup that
+    is a sum of multiples of axes comes out diagonal.
     """
     rows = [list(v) for v in generators if any(v)]
     if not rows:
@@ -159,6 +164,10 @@ def _echelon_basis(generators: Sequence[Point]) -> list[list[int]]:
         rows = [r for r in rows if r is not pivot and any(r)]
         if pivot[col] < 0:
             pivot[:] = [-x for x in pivot]
+        for row in basis:
+            q = row[col] // pivot[col]
+            for i in range(col, width):
+                row[i] -= q * pivot[i]
         basis.append(pivot)
     return basis
 
@@ -217,7 +226,15 @@ def _subset_mask(sc: LatticeScenario) -> np.ndarray:
     mask = np.zeros(shape, dtype=bool)
     spec = sc.subset_spec
     if isinstance(spec, SubgroupSpec):
-        mask[tuple((_subgroup_points(spec, n, R) + R).T)] = True
+        basis = _echelon_basis(spec.generators)
+        if any(sum(map(bool, row)) > 1 for row in basis):
+            mask[tuple((_subgroup_points(spec, n, R) + R).T)] = True
+            return mask
+        # a diagonal basis: the subgroup is the sum of d·ℤ along the axis
+        # of each pivot d, and 0 on every other axis
+        steps = {row.index(max(row)): max(row) for row in basis}
+        index = (slice(R % steps[c], None, steps[c]) if c in steps else R for c in range(n))
+        mask[tuple(index)] = True
         return mask
     tag = spec.tag
     if tag == "half-line":
@@ -238,11 +255,12 @@ def deep_components(sc: LatticeScenario) -> SeparationReport:
     in C order, which is lexicographic order; witnesses come sorted.
 
     Distances and components come from the numpy kernels in
-    ``_ndimage``: ℓ¹ sweeps along each axis, and labels joined over runs
-    of kept cells along the last axis.  A component's first deep cell
-    starts a run of deep cells along its box row; only those run
-    starts, about one or two per row, are searched for each component's
-    first occurrence.
+    ``_ndimage``: ℓ¹ sweeps along the leading axis, each followed by a
+    turn of the axes, and labels joined over runs of kept cells along
+    the last axis, numbered by repeating each run's number up to the
+    next run's start.  A component's first deep cell starts a run of
+    deep cells along its box row; only those run starts, about one or
+    two per row, are searched for each component's first occurrence.
     """
     R = sc.box_radius
     subset = _subset_mask(sc)
@@ -276,6 +294,7 @@ def standard_rank_scenario(
 ) -> LatticeScenario:
     """Scenario for the rank-k coordinate subgroup of ℤⁿ with the
     standard box defaults (R = 32 / 16 / 8 by rank, L = 1, D = R / 4)."""
+    n, k = _as_int(n, "ambient_rank"), _as_int(k, "subgroup rank")
     if not 0 <= k <= n:
         raise InvalidScenarioError(f"subgroup rank must be between 0 and {n}, got {k}")
     R = standard_box_radius(n) if box_radius is None else box_radius
@@ -372,7 +391,10 @@ def scenario_from_dict(data: dict) -> LatticeScenario:
             tuple(tuple(_json_int(x, "generator entry") for x in v) for v in gens)
         )
     elif raw["kind"] == "catalog":
-        spec = CatalogSpec(str(raw.get("tag", "")))
+        tag = raw.get("tag", "")
+        if not isinstance(tag, str):
+            raise InvalidScenarioError(f"catalog tag must be a string, got {tag!r}")
+        spec = CatalogSpec(tag)
     else:
         raise InvalidScenarioError(f"unknown subset kind {raw['kind']!r}")
     n = _json_int(data["ambient_rank"], "ambient_rank")

@@ -4,6 +4,7 @@ breadth-first oracle on the same grid."""
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import numpy as np
@@ -19,7 +20,7 @@ from conftest import (
     grid_components,
     subgroup_points_oracle,
 )
-from raagsplit import _ndimage
+from raagsplit import _ndimage, lattice
 from raagsplit.errors import InvalidScenarioError, ScenarioTooLargeError
 from raagsplit.lattice import (
     CATALOG_TAGS,
@@ -29,6 +30,7 @@ from raagsplit.lattice import (
     LatticeScenario,
     SeparationReport,
     SubgroupSpec,
+    _echelon_basis,
     _subgroup_points,
     _subset_mask,
     check_rank_separation,
@@ -264,6 +266,34 @@ class TestKernels:
         norm = sum(coords.reshape((-1,) + (1,) * (n - 1 - axis)) for axis in range(n))
         assert np.array_equal(dist, norm)
 
+    def test_distance_off_the_cube(self):
+        # sweeps and axis turns on boxes whose sides differ, sometimes
+        # from a single True cell in a corner of the box
+        rng = np.random.default_rng(0xD157)
+        for trial in range(200):
+            n = int(rng.integers(1, 5))
+            shape = tuple(int(x) for x in rng.integers(1, (40, 14, 8, 6)[n - 1], size=n))
+            subset = np.zeros(shape, dtype=bool)
+            if trial % 4 == 0:
+                subset[tuple(int(rng.integers(2)) * (size - 1) for size in shape)] = True
+            else:
+                subset |= rng.random(shape) < rng.choice((0.01, 0.1, 0.5))
+                subset.flat[int(rng.integers(subset.size))] = True
+            dist = _ndimage.taxicab_distance(subset)
+            assert dist.dtype == np.uint8 and dist.flags.c_contiguous
+            expect = ndimage.distance_transform_cdt(~subset, metric="taxicab")
+            assert np.array_equal(dist, expect), (shape, np.argwhere(subset).tolist()[:4])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_labels_of_empty_and_full_boxes(self, n):
+        shape = (5, 4, 3, 2)[:n]
+        first, label, total = _ndimage.label_runs(np.zeros(shape, dtype=bool))
+        assert (first.size, label.size, total) == (0, 0, 0)
+        # one run per row, all joined into one component
+        first, label, total = _ndimage.label_runs(np.ones(shape, dtype=bool))
+        assert np.array_equal(first, np.arange(0, math.prod(shape), shape[-1]))
+        assert total == 1 and not label.any()
+
     def test_labels_match_scipy(self):
         rng = np.random.default_rng(0x1AB5)
         for _ in range(200):
@@ -390,6 +420,103 @@ class TestSubgroupPoints:
         assert set(got) == set(subgroup_points_oracle(spec, n, radius))
 
 
+def _written_mask(points, n, radius):
+    """The box mask with each of ``points`` set."""
+    mask = np.zeros((2 * radius + 1,) * n, dtype=bool)
+    index = np.asarray(points, dtype=np.int64).reshape(-1, n) + radius
+    mask[tuple(index.T)] = True
+    return mask
+
+
+def _diagonal_case(rng: random.Random):
+    """Generators of a sum of multiples of axes, written the long way:
+    steps of either sign, some past the box or huge, sheared by adding
+    multiples of one generator to another, with zero and redundant
+    generators mixed in."""
+    n = rng.randint(1, 4)
+    radius = rng.randint(2, 10)
+    steps = [rng.choice((1, 2, 3, 5, -1, -2, -4, 2 * radius + 1, 3 * radius, 10**30))
+             for _ in range(n)]
+    gens = [[d if j == i else 0 for j in range(n)]
+            for i, d in enumerate(steps) if rng.random() < 0.7]
+    for _ in range(rng.randint(0, 3)):
+        if len(gens) >= 2:
+            a, b = rng.sample(range(len(gens)), 2)
+            m = rng.randint(-3, 3)
+            gens[a] = [x + m * y for x, y in zip(gens[a], gens[b])]
+    if gens and rng.random() < 0.3:
+        gens.append([rng.randint(-2, 2) * x for x in rng.choice(gens)])
+    if rng.random() < 0.2:
+        gens.append([0] * n)
+    rng.shuffle(gens)
+    return SubgroupSpec(gens), n, radius
+
+
+class TestSubsetMask:
+    """Strided slices for subgroups with a diagonal Hermite basis, against
+    the mask written from the enumerated points and from the recursive
+    walk in conftest."""
+
+    @pytest.fixture
+    def enumerated(self, monkeypatch):
+        calls = []
+
+        def spy(spec, n, radius):
+            calls.append(spec)
+            return _subgroup_points(spec, n, radius)
+
+        monkeypatch.setattr(lattice, "_subgroup_points", spy)
+        return calls
+
+    def check(self, spec, n, radius):
+        got = _subset_mask(LatticeScenario(n, spec, radius, 0, 1))
+        points = _subgroup_points(spec, n, radius)
+        assert np.array_equal(got, _written_mask(points, n, radius))
+        walk = subgroup_points_oracle(spec, n, radius)
+        assert np.array_equal(got, _written_mask(walk, n, radius))
+
+    def test_hermite_basis(self):
+        assert _echelon_basis(((1, 0, 1), (0, 0, 1))) == [[1, 0, 0], [0, 0, 1]]
+        assert _echelon_basis(((-2, 3), (0, -2))) == [[2, 1], [0, 2]]
+        assert _echelon_basis(((2, 1),)) == [[2, 1]]
+        assert _echelon_basis(((0, 0),)) == [] == _echelon_basis(())
+
+    @pytest.mark.parametrize(
+        "n, gens",
+        [
+            (3, ((1, 0, 1), (0, 0, 1))),
+            (3, ((-2, 0, 0), (0, -3, 0))),
+            (2, ((21, 0),)),
+            (2, ((10**30, 0), (0, -(10**30)))),
+            (3, ((0, 0, 0),)),
+            (4, ()),
+            (1, ((-4,), (6,))),
+        ],
+    )
+    def test_diagonal_cases(self, enumerated, n, gens):
+        self.check(SubgroupSpec(gens), n, 10)
+        assert not enumerated
+
+    def test_seeded_diagonal_subgroups(self, enumerated):
+        rng = random.Random(0xD1A6)
+        for _ in range(300):
+            self.check(*_diagonal_case(rng))
+        assert not enumerated
+
+    @pytest.mark.parametrize(
+        "n, gens",
+        [
+            (3, ((1, -1, 0), (0, 1, -1))),
+            (2, ((2, 1),)),
+            (2, ((1, 1), (0, 2))),
+            (4, ((1, 0, 0, 10**30), (0, 2, 0, 0))),
+        ],
+    )
+    def test_other_subgroups_are_enumerated(self, enumerated, n, gens):
+        self.check(SubgroupSpec(gens), n, 9)
+        assert len(enumerated) == 1
+
+
 class TestVerdicts:
     @pytest.mark.parametrize(
         "n,k,verdict",
@@ -414,6 +541,22 @@ class TestVerdicts:
             check_rank_separation(2, 3)
         with pytest.raises(InvalidScenarioError):
             check_rank_separation(2, -1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_full_lattice_keeps_nothing(self, n):
+        report = deep_components(standard_rank_scenario(n, n))
+        assert (report.total_components, report.deep_witnesses) == (0, ())
+        assert check_rank_separation(n, n) == DOES_NOT_SEPARATE
+
+    def test_subgroup_rank_must_be_an_int(self):
+        # True used to run as k = 1, and 1.0 to raise a bare TypeError
+        for k in (True, 1.0, "1", None):
+            with pytest.raises(InvalidScenarioError, match="subgroup rank"):
+                standard_rank_scenario(2, k)
+        with pytest.raises(InvalidScenarioError, match="subgroup rank"):
+            check_rank_separation(2, True)
+        with pytest.raises(InvalidScenarioError, match="ambient_rank"):
+            standard_rank_scenario(2.0, 1)
 
     def test_standard_defaults(self):
         sc = standard_rank_scenario(2, 1)
@@ -590,6 +733,18 @@ class TestSerialization:
                     "box_radius": 8,
                 }
             )
+
+    def test_catalog_tag_must_be_a_string(self):
+        # used to be coerced with str(...)
+        for tag in (5, None, ["hyperplane"]):
+            with pytest.raises(InvalidScenarioError, match="must be a string"):
+                scenario_from_dict(
+                    {
+                        "ambient_rank": 2,
+                        "subset_spec": {"kind": "catalog", "tag": tag},
+                        "box_radius": 8,
+                    }
+                )
 
     def test_bad_generator_payload(self):
         with pytest.raises(InvalidScenarioError):
