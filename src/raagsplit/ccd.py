@@ -22,11 +22,25 @@ ambient graph (Leimer, "Optimal decomposition by clique separators",
 Discrete Math. 113, 1993; Berry, Pogorelcnik, Simonet, "An introduction
 to clique minimal separator decomposition", Algorithms 3(2), 2010).
 The ambient graph's one MCS-M run, in O(nm), therefore lists every cut
-the recursion can need among its madj sets: the cut of a piece is the
+the recursion can need among the madj sets of its generators (see
+:mod:`.graphs`) that are cliques: the cut of a piece is the
 smallest of those candidates inside it whose removal disconnects it,
 and pieces stay vertex masks of the ambient graph throughout.  A
 candidate that does not disconnect a piece disconnects neither of its
 halves, so each half searches only the candidates it is handed.
+
+Whether a candidate disconnects a piece is read off the components of
+the piece minus the candidate, found once per candidate: it disconnects
+the piece iff there are at least two, and the first half is the cut
+plus the component holding the piece's lowest vertex outside the cut.
+A candidate is only ever tested on one shrinking chain of pieces, and
+once it is a cut, the next piece of that chain is the second half,
+which has lost just the component split off, so the components left
+answer that test too.  The components of the whole graph minus the cut
+would give the same answers, since every piece is bounded by clique
+cuts and a path that leaves a piece can be shortcut through the clique
+it leaves by; but they cost a pass over the whole graph per cut, which
+a tree or a clique-sum, with about one cut per vertex, pays n times.
 """
 
 from __future__ import annotations
@@ -70,7 +84,11 @@ class CcdTree:
             raise InvalidCcdError("a decomposition tree needs at least one node")
         edges = []
         for e in tree_edges:
-            r, s = (_node_id(x, "tree edge end") for x in e)
+            try:
+                r, s = e
+            except (TypeError, ValueError):
+                raise InvalidCcdError(f"tree edge {e!r} is not a pair of node ids") from None
+            r, s = _node_id(r, "tree edge end"), _node_id(s, "tree edge end")
             if not (0 <= r < len(pcs) and 0 <= s < len(pcs)) or r == s:
                 raise InvalidCcdError(f"tree edge {e!r} is not a pair of distinct node ids")
             edges.append((min(r, s), max(r, s)))
@@ -153,6 +171,18 @@ def _decompose(g: Graph, cands: list[int], whole: int):
     c, and those vertices are adjacent.  The cut itself goes to the
     second half only, since the first minus the cut is one component.
 
+    A candidate is tested against a piece with the components of the
+    piece minus the candidate, found with one component pass the first
+    time the candidate is tested: it disconnects the piece iff there are
+    at least two.  The first half takes the component with the lowest
+    vertex, and the rest stay for the candidate's next test.  A later
+    candidate lies in at most one half, since the halves share only the
+    cut and a later candidate is no smaller than the cut, so each
+    candidate is tested on one shrinking chain of pieces.  Once it is a
+    cut, it heads the second half's list, and that half minus the cut is
+    the components left; a test on any other piece would be a bug, and
+    raises InternalInvariantError.
+
     The pieces are listed leaf by leaf, left half first, and each cut's
     tree edge follows the edges of both its halves, which joins the
     first piece of each half that properly contains the cut.  The walk
@@ -160,6 +190,9 @@ def _decompose(g: Graph, cands: list[int], whole: int):
     recursion limit.
     """
     adj = g.adjacency_masks
+    # per cut: the piece minus the cut its components were found for,
+    # and those components by descending lowest vertex
+    split: dict[int, list] = {}
     pieces, edges, cuts = [], [], []
     # a (piece, candidates) tuple is a piece still to split; a cut's
     # [cut, start] record is pushed twice, and gains the start of its
@@ -189,14 +222,23 @@ def _decompose(g: Graph, cands: list[int], whole: int):
             continue
         piece, inside = top
         for at, cut in enumerate(inside):
-            if not kernels.is_connected_bits(adj, piece & ~cut):
+            rest = piece & ~cut
+            entry = split.get(cut)
+            if entry is None:
+                entry = split[cut] = [rest, kernels.components_bits(adj, rest)[::-1]]
+            elif entry[0] != rest:
+                raise InternalInvariantError(
+                    f"the cut candidate {_mask_to_set(cut)} met a piece off its chain"
+                )
+            if len(entry[1]) >= 2:
                 break
         else:
             pieces.append(piece)
             continue
-        rest = piece & ~cut
-        first = cut | kernels.component_bits(adj, rest, rest & -rest)
-        second = piece & ~first | cut
+        comp = entry[1].pop()
+        entry[0] = rest & ~comp
+        first = cut | comp
+        second = piece & ~comp
         record = [cut, len(pieces)]
         stack += [
             record,

@@ -8,10 +8,11 @@ trip for graphs with isolated vertices.  The DOT subset is undirected
 bare node statements, and no attributes.
 
 Vertex order is always file order (first appearance), never label
-collation.  Semantic problems (duplicate vertices, unknown endpoints,
-self-loops) surface as the graph constructor's errors; only syntax
-problems raise GraphParseError, which carries a 1-based line and
-column where known.
+collation.  A file that starts with a UTF-8 byte-order mark is refused
+in every format, at line 1, column 1.  Semantic problems (duplicate
+vertices, unknown endpoints, self-loops) surface as the graph
+constructor's errors; only syntax problems raise GraphParseError, which
+carries a 1-based line and column where known.
 
 Each line parser makes one pass over its text: an edge-list line is
 split with ``str.split``, and a DOT text is cut into tokens by one
@@ -22,6 +23,7 @@ with line breaks as ``str.splitlines`` counts them.
 
 from __future__ import annotations
 
+import codecs
 import json
 import re
 from dataclasses import dataclass
@@ -61,6 +63,9 @@ def parse_document(data: bytes, format: str | None = None) -> GraphDocument:
         raise InvalidArgumentError(
             f"unknown graph format {fmt!r}; known: {', '.join(FORMATS)}"
         )
+    if data.startswith(codecs.BOM_UTF8):
+        # sniffed past it, it would read as part of the first label
+        raise GraphParseError("input starts with a UTF-8 byte-order mark", line=1, column=1)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

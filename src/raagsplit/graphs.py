@@ -15,7 +15,11 @@ Minimal clique separators come from the MCS-M minimal triangulation
 computing minimal triangulations of graphs", Algorithmica 39, 2004),
 which runs in O(nm); the clique minimal separators of a graph are the
 minimal separators of that triangulation which are cliques in the graph
-(Berry, Pogorelcnik, Simonet, Algorithms 3(2), 2010).
+(Berry, Pogorelcnik, Simonet, Algorithms 3(2), 2010).  The minimal
+separators of the triangulation are read off the same MCS-M run, with no
+connectivity test: a vertex x numbered right after y is a *generator*
+when |madj(x)| <= |madj(y)|, and the minimal separators are exactly the
+generators' madj sets (Algorithm MCS-M+ of the same paper).
 """
 
 from __future__ import annotations
@@ -56,10 +60,10 @@ class Graph:
     def __init__(self, vertices: Sequence[str], edges: Iterable[tuple[str, str]] = ()):
         """Check the labels, then each edge in the order given; the first
         fault raises InvalidVertexError.  The labels must be distinct
-        strs.  An edge must be a pair of strs naming two different
-        vertices (first endpoint looked up first) that no earlier edge
-        joined, in either orientation; a repeat shows as an adjacency
-        bit already set."""
+        strs.  An edge must be a pair (not a str) of strs naming two
+        different vertices (first endpoint looked up first) that no
+        earlier edge joined, in either orientation; a repeat shows as an
+        adjacency bit already set."""
         labels = tuple(vertices)
         for v in labels:
             if not isinstance(v, str):
@@ -69,9 +73,17 @@ class Graph:
             raise InvalidVertexError("duplicate vertex label")
         find = index.get
         adj = [0] * len(labels)
-        for a, b in edges:
+        for e in edges:
+            try:
+                a, b = e
+            except (TypeError, ValueError):
+                raise InvalidVertexError(f"an edge must be a pair of labels, got {e!r}") from None
             if not (isinstance(a, str) and isinstance(b, str)):
                 raise InvalidVertexError(f"edge endpoints must be strings, got {(a, b)!r}")
+            # a two-character str unpacks into two labels; its class is
+            # checked, not isinstance, which costs about twice as much
+            if e.__class__ is str:
+                raise InvalidVertexError(f"an edge must be a pair of labels, got {e!r}")
             i = find(a)
             if i is None:
                 raise InvalidVertexError(f"unknown edge endpoint {a!r}")
@@ -260,10 +272,13 @@ class Graph:
 
     # -- separators --------------------------------------------------------
 
-    def _mcs_m_madj(self) -> list[int]:
+    def _mcs_m_madj(self) -> tuple[list[int], list[int]]:
         """MCS-M (Berry, Blair, Heggernes, Peyton 2004) on the adjacency
-        masks.  Entry v of the result is madj(v): the neighbours of v in
-        the minimal triangulation H that were numbered before v.
+        masks.  Returns ``(madj, order)``: entry v of ``madj`` is madj(v),
+        the neighbours of v in the minimal triangulation H that were
+        numbered before v, and ``order`` lists the vertices in the order
+        they were numbered.  A vertex's weight when it is numbered is the
+        popcount of its madj.
 
         Each step numbers an unnumbered vertex v of maximum weight, then
         raises the weight of, and adds an H-edge from v to, every
@@ -276,19 +291,27 @@ class Graph:
         and empty levels are dropped.  At each level the reached region
         grows only through its border (the neighbours of the vertices
         reached so far) within the lighter levels.
+
+        A vertex x numbered right after y is a *generator* when
+        |madj(x)| <= |madj(y)|; the minimal separators of H are exactly
+        the madj sets of the generators (Berry, Pogorelcnik, Simonet
+        2010, Algorithm MCS-M+).
         """
         adj = self._adj
         madj = [0] * self.n
+        order = []
         levels = {0: self._full} if self.n else {}
         while levels:
             # number the lowest-index vertex of maximum weight
             top = max(levels)
             vbit = levels[top] & -levels[top]
+            v = vbit.bit_length() - 1
+            order.append(v)
             levels[top] ^= vbit
             if not levels[top]:
                 del levels[top]
             reached, lighter = vbit, 0
-            border = adj[vbit.bit_length() - 1]
+            border = adj[v]
             moves = []
             for w in sorted(levels):
                 fresh = border & lighter & ~reached
@@ -313,29 +336,34 @@ class Graph:
                     low = raised & -raised
                     raised ^= low
                     madj[low.bit_length() - 1] |= vbit
-        return madj
+        return madj, order
 
     def _clique_separator_candidates(self) -> list[int]:
-        """The madj masks of the graph's one MCS-M run that are non-empty
-        cliques and separate the graph, without repeats, ordered by size
-        and then by sorted vertex tuple.
+        """The madj masks of the MCS-M generators (see
+        :meth:`_mcs_m_madj`) that are non-empty cliques of the graph,
+        without repeats, ordered by size and then by sorted vertex tuple.
 
-        Every clique minimal separator of the graph is among them, and so
+        A generator's madj set is a minimal separator of the minimal
+        triangulation H, so it separates the graph too, which is a
+        subgraph of H; no connectivity check is needed.  The minimal
+        separators of H that are cliques of the graph are exactly its
+        clique minimal separators, so every one of them is listed, and so
         is every clique minimal separator of each piece of a
         decomposition along clique minimal separators, since those do
         not cross (Leimer, "Optimal decomposition by clique separators",
         Discrete Math. 113, 1993; Berry, Pogorelcnik, Simonet 2010).
         """
         if "cands" not in self._cache:
-            kept = [
-                s
-                for s in set(self._mcs_m_madj())
-                if s
-                and self._is_clique_mask(s)
-                and not kernels.is_connected_bits(self._adj, self._full & ~s)
-            ]
-            kept.sort(key=lambda s: (s.bit_count(), _mask_to_set(s)))
-            self._cache["cands"] = kept
+            madj, order = self._mcs_m_madj()
+            kept = set()
+            prev = -1
+            for x in order:
+                s = madj[x]
+                weight = s.bit_count()
+                if weight <= prev and s and s not in kept and self._is_clique_mask(s):
+                    kept.add(s)
+                prev = weight
+            self._cache["cands"] = sorted(kept, key=lambda s: (s.bit_count(), _mask_to_set(s)))
         return self._cache["cands"]
 
     def minimal_clique_separators(self) -> list[VertexSet]:
@@ -348,10 +376,13 @@ class Graph:
         triangulation H that are cliques in the graph (Berry,
         Pogorelcnik, Simonet, "An introduction to clique minimal
         separator decomposition", Algorithms 3(2), 2010), at most n - 1
-        of them.  H comes from MCS-M in O(nm), and every minimal
-        separator of H is one of its madj sets; the candidates of
-        :meth:`_clique_separator_candidates` are filtered down to the
-        inclusion-minimal ones.  A complete graph has none, since
+        of them.  H comes from MCS-M in O(nm), and its minimal
+        separators are the madj sets of the generators, the vertices
+        numbered at a weight no higher than the vertex numbered just
+        before them (Algorithm MCS-M+).  Those that are cliques are the
+        candidates of :meth:`_clique_separator_candidates`, which are
+        filtered down to the inclusion-minimal ones: a clique minimal
+        separator can hold a smaller one.  A complete graph has none, since
         removing vertices from it leaves a complete graph, which is
         connected; that case is answered from the adjacency masks in
         O(n), before MCS-M runs.

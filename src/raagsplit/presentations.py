@@ -139,13 +139,21 @@ def _code_pair(word: Sequence[int]) -> Optional[tuple[int, int]]:
     return None
 
 
-def _check_letter(gen, exp, scope, error: type[InvalidArgumentError], where: str) -> None:
-    """Raise ``error`` unless ``gen`` is a str in ``scope`` and ``exp`` is
-    a non-bool int equal to 1 or -1."""
+def _check_letter(letter, scope, error: type[InvalidArgumentError], where: str) -> tuple:
+    """The ``(gen, exp)`` of ``letter``; raise ``error`` unless it is a
+    pair, ``gen`` is a str in ``scope`` and ``exp`` is a non-bool int
+    equal to 1 or -1."""
+    try:
+        gen, exp = letter
+    except (TypeError, ValueError):
+        raise error(
+            f"{where}: a letter must be a (generator, exponent) pair, got {letter!r}"
+        ) from None
     if not isinstance(gen, str) or gen not in scope:
         raise error(f"{where} uses {gen!r}, not one of its generators")
     if type(exp) is not int or exp not in (1, -1):
         raise error(f"{where}: letter exponent must be the integer 1 or -1, got {exp!r}")
+    return gen, exp
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -170,8 +178,8 @@ class Presentation:
         normalized = []
         for word in relators:
             w = []
-            for gen, exp in word:
-                _check_letter(gen, exp, code, InvalidArgumentError, "relator")
+            for letter in word:
+                gen, exp = _check_letter(letter, code, InvalidArgumentError, "relator")
                 w.append(exp * code[gen])
             w = _reduce_codes(w)
             pair = _code_pair(w) if len(w) == 4 else None
@@ -354,8 +362,8 @@ def _check_amalgam(a: Amalgam) -> None:
             raise InvalidAmalgamError(f"{name} must be defined exactly on the edge generators")
         scope = set(factor.generators)
         for e, w in embed.items():
-            for gen, exp in w:
-                _check_letter(gen, exp, scope, InvalidAmalgamError, f"{name}[{e!r}]")
+            for letter in w:
+                _check_letter(letter, scope, InvalidAmalgamError, f"{name}[{e!r}]")
 
 
 def _is_square(w: Word) -> bool:

@@ -4,8 +4,9 @@ The oracles here deliberately avoid the library's own algorithms so
 they can catch systematic mistakes: separator checks run on plain
 adjacency sets, lattice distances come from multi-source BFS.
 ``minimal_separators_enumeration_oracle``, ``mcs_m_madj_oracle``,
-``graph_init_oracle``, ``induced_subgraph_oracle``,
-``parse_edge_list_oracle``, ``parse_dot_oracle``,
+``clique_separator_candidates_oracle``, ``graph_init_oracle``,
+``induced_subgraph_oracle``, ``parse_edge_list_oracle``,
+``parse_dot_oracle``,
 ``ccd_recursion_oracle``, ``decompose_oracle``,
 ``verify_star_split_oracle``, ``verify_amalgam_oracle``,
 ``subgroup_points_oracle`` and
@@ -214,6 +215,44 @@ def mcs_m_madj_oracle(g: Graph) -> list[int]:
             weight[u] += 1
             madj[u] |= vbit
     return madj
+
+
+def clique_separator_candidates_oracle(g: Graph) -> list[int]:
+    """``Graph._clique_separator_candidates`` before it read the minimal
+    separators of the triangulation off the MCS-M+ generators: every
+    madj set of the one MCS-M run that is a non-empty clique and
+    separates the graph, checked by a connectivity BFS."""
+    kept = [
+        s
+        for s in set(mcs_m_madj_oracle(g))
+        if s
+        and g._is_clique_mask(s)
+        and not kernels.is_connected_bits(g._adj, g._full & ~s)
+    ]
+    kept.sort(key=lambda s: (s.bit_count(), _mask_to_set(s)))
+    return kept
+
+
+def full_components_oracle(g: Graph, cut) -> int:
+    """How many components of g minus ``cut`` have every vertex of
+    ``cut`` as a neighbour, by set-based BFS; a minimal separator has at
+    least two."""
+    adj = adjacency_sets(g)
+    cut = set(cut)
+    unseen = set(range(g.n)) - cut
+    count = 0
+    while unseen:
+        start = unseen.pop()
+        comp, queue = {start}, deque([start])
+        while queue:
+            for w in adj[queue.popleft()]:
+                if w in unseen:
+                    unseen.discard(w)
+                    comp.add(w)
+                    queue.append(w)
+        if cut <= set().union(*(adj[v] for v in comp)):
+            count += 1
+    return count
 
 
 def parse_edge_list_oracle(text: str) -> GraphDocument:

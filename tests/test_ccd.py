@@ -3,14 +3,19 @@ graph-of-groups read-off."""
 
 from __future__ import annotations
 
+import itertools
 import random
+import sys
 
 import pytest
 
 from conftest import (
+    all_graphs,
     ccd_recursion_oracle,
+    clique_separator_candidates_oracle,
     connected_graphs,
     decompose_oracle,
+    full_components_oracle,
     random_connected_graph,
     separates_oracle,
 )
@@ -23,8 +28,9 @@ from raagsplit.ccd import (
     validate_ccd,
 )
 from raagsplit.errors import DisconnectedGraphError, InvalidCcdError
-from raagsplit.graphs import Graph, complete_graph, cycle_graph, path_graph
+from raagsplit.graphs import Graph, _mask_to_set, complete_graph, cycle_graph, path_graph
 from raagsplit.presentations import raag_presentation
+from test_graphs import _differential_corpus as _mcs_m_corpus
 
 
 def tri_pendant():
@@ -94,6 +100,11 @@ class TestTreeStructure:
     def test_self_edge(self):
         with pytest.raises(InvalidCcdError):
             CcdTree(((0,), (1,)), ((1, 1),), ((),))
+
+    @pytest.mark.parametrize("edge", [(0, 1, 1), (0,), None, 3])
+    def test_edge_not_a_pair(self, edge):
+        with pytest.raises(InvalidCcdError, match="is not a pair of node ids"):
+            CcdTree(((0, 1), (1, 2)), (edge,), ((1,),))
 
     def test_edge_count(self):
         with pytest.raises(InvalidCcdError):
@@ -311,6 +322,48 @@ def _decompose_corpus():
             yield Graph(labels, [(labels[a], labels[b]) for a, b in sorted(edges)])
 
 
+def _candidate_corpus():
+    """Every graph with at most 6 vertices, the corpora of the MCS-M
+    differential tests, and the 3,000 larger graphs of
+    ``_decompose_corpus`` (its small graphs are among the first)."""
+    for n in range(7):
+        yield from all_graphs(n)
+    for name in ("random", "cycles", "clique-sums"):
+        yield from _mcs_m_corpus(name)
+    yield from itertools.islice(_decompose_corpus(), 1 + 1 + 4 + 38 + 728 + 26704, None)
+
+
+class TestGeneratorCandidates:
+    """Candidates read off the MCS-M+ generators against the filter they
+    replaced, which kept every madj set that is a non-empty separating
+    clique (``clique_separator_candidates_oracle``)."""
+
+    def test_subset_with_the_same_minimal_sets_and_the_same_trees(self):
+        def minimal(masks):
+            return {s for s in masks if not any(t != s and t & ~s == 0 for t in masks)}
+
+        count = shrunk = 0
+        for g in _candidate_corpus():
+            got = g._clique_separator_candidates()
+            want = clique_separator_candidates_oracle(g)
+            # a subset, in the oracle's order
+            assert got == [s for s in want if s in set(got)], g.edges()
+            for s in got:
+                assert full_components_oracle(g, _mask_to_set(s)) >= 2, (g.edges(), s)
+            # a disconnected graph is separated by any set, and its only
+            # minimal clique separator is the empty set
+            if g.n and g.is_connected():
+                assert minimal(got) == minimal(want), g.edges()
+                whole = (1 << g.n) - 1
+                assert _decompose(g, got, whole) == decompose_oracle(g, want, whole), g.edges()
+            count += 1
+            shrunk += len(got) < len(want)
+        assert count == 33_868 + 2000 + 13 + 60 + 3000
+        # the swap does drop candidates: not every separating clique madj
+        # set is a minimal separator of the triangulation
+        assert shrunk > 0
+
+
 class TestCandidateHandDown:
     """``_decompose`` hands each half only its own candidates; the walk
     it replaced, which rescans all of g's candidates for every piece, is
@@ -327,19 +380,36 @@ class TestCandidateHandDown:
 
     def test_connectivity_checks_per_piece_stay_bounded(self, monkeypatch):
         # the full rescan made about 7-8 checks per piece on these graphs,
-        # the hand-down about 2.6, candidate filtering included
-        calls = []
+        # the hand-down about 2.6, candidate filtering included; with the
+        # components of each cut found once, a BFS check per candidate
+        # tried became one component pass per distinct cut
+        calls, comp_calls = [], []
         original = kernels.is_connected_bits
+        original_components = kernels.components_bits
 
         def counted(adj, mask):
             calls.append(mask)
             return original(adj, mask)
 
+        def counted_components(adj, mask):
+            # the candidate _decompose is testing, read off its frame
+            comp_calls.append(sys._getframe(1).f_locals["cut"])
+            return original_components(adj, mask)
+
         monkeypatch.setattr(kernels, "is_connected_bits", counted)
+        monkeypatch.setattr(kernels, "components_bits", counted_components)
         rng = random.Random(512)
         for _ in range(3):
             g = clique_sum(rng, 512, 5)
             calls.clear()
+            comp_calls.clear()
             t = complete_cut_decomposition(g)
             assert len(t.pieces) > 300
             assert len(calls) <= 4 * len(t.pieces), (len(calls), len(t.pieces))
+            assert len(calls) + len(comp_calls) <= 4 * len(t.pieces), (
+                len(calls), len(comp_calls), len(t.pieces)
+            )
+            # at most one component pass per distinct cut
+            assert len(set(comp_calls)) == len(comp_calls)
+            assert set(comp_calls) <= set(g._clique_separator_candidates())
+            assert {_mask_to_set(c) for c in comp_calls} >= set(t.cuts)

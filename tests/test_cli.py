@@ -470,6 +470,16 @@ class TestInputHandling:
         assert err.startswith("error:") and "line 1" in err
         assert err.count("line 1") == 1
 
+    @pytest.mark.parametrize("name", ["p2.json", "c4.txt", "k4.dot"])
+    def test_byte_order_mark_refused(self, files, capsys, name):
+        path = files["dir"] / name
+        raw = path.read_bytes()
+        assert run(capsys, ["spectrum", str(path)])[0] == 0
+        path.write_bytes(b"\xef\xbb\xbf" + raw)
+        code, out, err = run(capsys, ["spectrum", str(path)])
+        assert code == 2 and out == ""
+        assert err == "error: input starts with a UTF-8 byte-order mark (line 1, column 1)\n"
+
     def test_deeply_nested_graph_file(self, files, capsys):
         # json.loads raises RecursionError here, not JSONDecodeError
         bad = files["dir"] / "deep.json"

@@ -169,6 +169,23 @@ class TestErrorPositions:
         with pytest.raises(GraphParseError):
             parse_graph(b"\xff\xfe", "edge-list")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b'{"vertices":["a","b","c"],"edges":[["a","b"],["b","c"]]}',
+            b"a b\nb c\n",
+            b"graph { a -- b -- c }",
+        ],
+    )
+    @pytest.mark.parametrize("fmt", [None, "json", "edge-list", "dot-subset"])
+    def test_byte_order_mark_refused(self, text, fmt):
+        # sniffed past it, a JSON file with one would read as an edge
+        # list holding a single vertex
+        assert parse_graph(text).n == 3
+        with pytest.raises(GraphParseError) as err:
+            parse_document(b"\xef\xbb\xbf" + text, fmt)
+        assert (err.value.line, err.value.column) == (1, 1)
+
 
 class TestConstructorErrorsSurface:
     def test_edge_list_self_loop(self):

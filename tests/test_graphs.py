@@ -49,6 +49,12 @@ class TestConstruction:
         with pytest.raises(InvalidVertexError):
             Graph(("a",), [("a", "a")])
 
+    @pytest.mark.parametrize("edge", ["ab", ("a",), ("a", "b", "c"), None, 7])
+    def test_malformed_edge_rejected(self, edge):
+        # a two-character str used to unpack into the edge a -- b
+        with pytest.raises(InvalidVertexError, match="an edge must be a pair of labels"):
+            Graph(("a", "b", "c"), [edge])
+
     def test_duplicate_edge_rejected(self):
         with pytest.raises(InvalidVertexError):
             Graph(("a", "b"), [("a", "b"), ("b", "a")])
@@ -290,11 +296,23 @@ class TestMcsMLevels:
     """MCS-M with its weight levels kept between steps against the run
     that rebuilt them at every step: the same madj list."""
 
+    @staticmethod
+    def check(g):
+        madj, order = g._mcs_m_madj()
+        assert madj == mcs_m_madj_oracle(g), (g.n, g.edges())
+        # a numbering: each vertex once, and madj(v) holds only vertices
+        # numbered before v
+        assert sorted(order) == list(range(g.n))
+        before = 0
+        for v in order:
+            assert madj[v] & ~before == 0, (g.n, g.edges(), v)
+            before |= 1 << v
+
     def test_every_graph_up_to_six_vertices(self):
         count = 0
         for n in range(7):
             for g in all_graphs(n):
-                assert g._mcs_m_madj() == mcs_m_madj_oracle(g), (n, g.edges())
+                self.check(g)
                 count += 1
         assert count == 1 + 1 + 2 + 8 + 64 + 1024 + 32768
 
@@ -302,8 +320,7 @@ class TestMcsMLevels:
     def test_random_graphs(self, p):
         rng = random.Random(int(p * 100))
         for _ in range(60):
-            g = random_graph(rng, rng.randint(7, 64), p)
-            assert g._mcs_m_madj() == mcs_m_madj_oracle(g), (g.n, g.edges())
+            self.check(random_graph(rng, rng.randint(7, 64), p))
 
     def test_complete_graphs_have_no_separator(self):
         for m in range(1, 9):

@@ -90,6 +90,11 @@ class TestPresentation:
         with pytest.raises(InvalidArgumentError):
             Presentation(("a",), [(("a", 2),)])
 
+    @pytest.mark.parametrize("letter", [("a", 1, 1), ("a",), None, "a"])
+    def test_letter_not_a_pair(self, letter):
+        with pytest.raises(InvalidArgumentError, match="a letter must be a"):
+            Presentation(("a",), [(letter,)])
+
     def test_duplicate_generator(self):
         with pytest.raises(InvalidArgumentError):
             Presentation(("a", "a"))
@@ -285,6 +290,13 @@ class TestVerifyStarSplit:
         a = star_split(g, 0)
         bad = replace(a, embed1={**a.embed1, "b": (("b_1", 2),)})
         with pytest.raises(InvalidAmalgamError):
+            verify_star_split(g, bad)
+
+    def test_embed_letter_not_a_pair(self):
+        g = path_graph("abc")
+        a = star_split(g, 0)
+        bad = replace(a, embed1={**a.embed1, "b": (("b_1", 1, 1),)})
+        with pytest.raises(InvalidAmalgamError, match="a letter must be a"):
             verify_star_split(g, bad)
 
     @pytest.mark.parametrize("exp", [True, 1.0, -1.0])
