@@ -40,16 +40,29 @@ Amalgam constructions:
   ``_1`` and ``_2`` stripped for a star split), read every relator as
   a commutator pair, and require the plain pairs to be exactly the
   edges of g and every commutator of powers to have its base pair
-  among them.  The replay runs on vertex codes: each surviving
-  generator becomes its vertex index plus one, each eliminated one its
-  coded embed1 word.  :func:`verify_star_split` accepts star splits
-  only and runs the same replay.
+  among them.  :func:`verify_star_split` accepts star splits only and
+  runs the same replay.
+
+There is one replay, on integer tables: for each factor, the vertex
+index every generator code stands for after the eliminations, and the
+factor-2 generator that stands for a square.  It reads both factors'
+coded relators through those tables and compares the pairs with g's
+adjacency masks.  :func:`direct_amalgam` and :func:`star_split` attach
+these tables to the amalgam they build, as a private coded form that
+takes no part in equality or repr.  The replay trusts them only for
+the graph the amalgam was built on, and only while its ``embed1`` and
+``embed2`` dicts still equal the ones built; :func:`dataclasses.replace`
+drops the coded form.  Every other amalgam is checked structurally,
+raising InvalidAmalgamError when broken, and decoded from its labels
+into the same tables.  :func:`star_split` builds the whole-graph factor
+once per graph and shares it between the graph's star splits.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .errors import (
     InvalidAmalgamError,
@@ -230,6 +243,24 @@ def render_word(word: Word) -> str:
     return " ".join(g if e == 1 else f"{g}^-1" for g, e in word)
 
 
+class _Coded(NamedTuple):
+    """What :func:`direct_amalgam` or :func:`star_split` knew when it
+    built an amalgam.  Factor-1 generator k is the vertex
+    ``vertices1[k - 1]`` and factor-2 generator k the vertex
+    ``vertices2[k - 1]``; ``square`` is the index into ``vertices2`` of
+    the generator whose embed1 word is a square (None for a direct
+    amalgam).  ``embed1`` and ``embed2`` are copies of the embeddings as
+    built: the public dicts are mutable, so the replay trusts these
+    tables only while they still compare equal."""
+
+    graph: Graph
+    vertices1: VertexSet
+    vertices2: VertexSet
+    square: Optional[int]
+    embed1: dict
+    embed2: dict
+
+
 @dataclass(frozen=True)
 class Amalgam:
     """Two factor presentations glued over shared edge generators.
@@ -238,6 +269,10 @@ class Amalgam:
     factor1 and factor2 respectively; the amalgamated group is the
     quotient of the free product by the identifications
     embed1(e) = embed2(e).
+
+    An amalgam built by :func:`direct_amalgam` or :func:`star_split`
+    also carries its coded form, which takes no part in equality or
+    repr; :func:`dataclasses.replace` drops it.
     """
 
     factor1: Presentation
@@ -245,6 +280,33 @@ class Amalgam:
     edge_generators: tuple[str, ...]
     embed1: Mapping[str, Word] = field(default_factory=dict)
     embed2: Mapping[str, Word] = field(default_factory=dict)
+    _coded: Optional[_Coded] = field(default=None, init=False, compare=False, repr=False)
+
+    @classmethod
+    def _from_codes(
+        cls,
+        g: Graph,
+        factor1: Presentation,
+        factor2: Presentation,
+        embed1: dict,
+        embed2: dict,
+        vertices1: VertexSet,
+        vertices2: VertexSet,
+        square: Optional[int],
+    ) -> "Amalgam":
+        """An amalgam a package constructor built, with its coded form
+        (see :class:`_Coded`) attached and no checks; the edge generators
+        are embed1's keys, in order."""
+        a = object.__new__(cls)
+        a.__dict__.update(
+            factor1=factor1,
+            factor2=factor2,
+            edge_generators=tuple(embed1),
+            embed1=embed1,
+            embed2=embed2,
+            _coded=_Coded(g, vertices1, vertices2, square, dict(embed1), dict(embed2)),
+        )
+        return a
 
 
 def _raag_on(g: Graph, keep: VertexSet, suffix: str = "") -> Presentation:
@@ -253,27 +315,26 @@ def _raag_on(g: Graph, keep: VertexSet, suffix: str = "") -> Presentation:
     order, one commutator relator per edge of g inside it, in vertex
     order.  The edges come from walking each kept vertex's adjacency
     mask restricted to the later kept vertices, so the cost follows the
-    size of g[keep], not of g.  The coded relator of edge (i, j) is
-    (a, b, -a, -b), with a < b the codes of i and j: already in normal
-    form, so nothing is checked or normalised again.  ``keep`` must be
-    a sorted tuple of distinct vertex indices of g, as every caller has
-    already made or checked it."""
-    code, mask = {}, 0
-    for k, i in enumerate(keep, 1):
-        code[i] = k
+    size of g[keep], not of g.  The code of a kept vertex is one plus
+    the number of kept vertices before it.  The coded relator of edge
+    (i, j) is (a, b, -a, -b), with a < b the codes of i and j: already
+    in normal form, so nothing is checked or normalised again.  ``keep``
+    must be a sorted tuple of distinct vertex indices of g, as every
+    caller has already made or checked it."""
+    mask = 0
+    for i in keep:
         mask |= 1 << i
     adj = g.adjacency_masks
     relators = []
-    for i in keep:
-        a = code[i]
+    for a, i in enumerate(keep, 1):
         later = adj[i] & mask & ~((2 << i) - 1)
         while later:
             low = later & -later
             later ^= low
-            b = code[low.bit_length() - 1]
+            b = (mask & (low - 1)).bit_count() + 1
             relators.append((a, b, -a, -b))
     labels = g.labels
-    return Presentation._from_codes(tuple(labels[i] + suffix for i in keep), tuple(relators))
+    return Presentation._from_codes(tuple([labels[i] + suffix for i in keep]), tuple(relators))
 
 
 def raag_presentation(g: Graph) -> Presentation:
@@ -311,12 +372,8 @@ def direct_amalgam(g: Graph, s) -> Amalgam:
     side2 = g.vertex_set(set(s).union(*comps[1:]) if len(comps) > 1 else set(s))
     edge_gens = g.labels_of(s)
     identity = {x: ((x, 1),) for x in edge_gens}
-    return Amalgam(
-        factor1=_raag_on(g, side1),
-        factor2=_raag_on(g, side2),
-        edge_generators=edge_gens,
-        embed1=identity,
-        embed2=dict(identity),
+    return Amalgam._from_codes(
+        g, _raag_on(g, side1), _raag_on(g, side2), identity, dict(identity), side1, side2, None
     )
 
 
@@ -325,49 +382,64 @@ def star_split(g: Graph, u: int) -> Amalgam:
 
     Requires star(u) != V(g).  The star-side factor gets suffix ``_1``,
     the whole-graph factor suffix ``_2``; ``u`` embeds as the square
-    u_1 u_1 on the star side.
+    u_1 u_1 on the star side.  The whole-graph factor is built once per
+    graph and shared by its star splits.
     """
-    (u,) = g.vertex_set((u,))
+    if u.__class__ is not int or not 0 <= u < g.n:
+        # vertex_set raises for a bad index, and keeps an int subclass
+        (u,) = g.vertex_set((u,))
     star_mask = g.adjacency_masks[u] | 1 << u
     if star_mask == (1 << g.n) - 1:
         raise StarCoversGraphError(
             f"star of {g.labels[u]!r} is the whole graph; no splitting along it"
         )
     star = _mask_to_set(star_mask)
-    labels = g.labels
-    star_labels = tuple(labels[i] for i in star)
-    embed1 = {x: ((x + SUFFIX_STAR, 1),) for x in star_labels}
-    embed1[labels[u]] = embed1[labels[u]] * 2
-    embed2 = {x: ((x + SUFFIX_AMBIENT, 1),) for x in star_labels}
-    return Amalgam(
-        factor1=_raag_on(g, star, SUFFIX_STAR),
-        factor2=_raag_on(g, g.vertices(), SUFFIX_AMBIENT),
-        edge_generators=star_labels,
-        embed1=embed1,
-        embed2=embed2,
-    )
+    ambient = g._cache.get("raag_ambient")
+    if ambient is None:
+        ambient = g._cache["raag_ambient"] = _raag_on(g, g.vertices(), SUFFIX_AMBIENT)
+    factor1 = _raag_on(g, star, SUFFIX_STAR)
+    # both factors already hold the suffixed names
+    labels, names2 = g.labels, ambient.generators
+    embed1, embed2 = {}, {}
+    for i, x1 in zip(star, factor1.generators):
+        embed1[labels[i]] = ((x1, 1),)
+        embed2[labels[i]] = ((names2[i], 1),)
+    embed1[labels[u]] *= 2
+    # the whole-graph factor lists every vertex in order, so u's factor-2
+    # generator is the u-th
+    return Amalgam._from_codes(g, factor1, ambient, embed1, embed2, star, g.vertices(), u)
 
 
 def _check_amalgam(a: Amalgam) -> None:
     for p in (a.factor1, a.factor2):
         if not isinstance(p, Presentation):
             raise InvalidAmalgamError("factors must be presentations")
-    if len(set(a.edge_generators)) != len(a.edge_generators):
+    gens = a.edge_generators
+    if (
+        isinstance(gens, str)
+        or not isinstance(gens, Iterable)
+        or not all(isinstance(e, str) for e in gens)
+    ):
+        raise InvalidAmalgamError(f"edge generators must be a sequence of strs, got {gens!r}")
+    edge_gens = tuple(gens)
+    if len(set(edge_gens)) != len(edge_gens):
         raise InvalidAmalgamError("edge generators must be distinct")
     for name, embed, factor in (
         ("embed1", a.embed1, a.factor1),
         ("embed2", a.embed2, a.factor2),
     ):
-        if set(embed) != set(a.edge_generators):
+        if not isinstance(embed, Mapping):
+            raise InvalidAmalgamError(f"{name} must be a mapping, got {embed!r}")
+        if set(embed) != set(edge_gens):
             raise InvalidAmalgamError(f"{name} must be defined exactly on the edge generators")
         scope = set(factor.generators)
         for e, w in embed.items():
-            for letter in w:
+            try:
+                letters = iter(w)
+            except TypeError:
+                raise InvalidAmalgamError(f"{name}[{e!r}] must be a word, got {w!r}") from None
+            for letter in letters:
                 _check_letter(letter, scope, InvalidAmalgamError, f"{name}[{e!r}]")
-
-
-def _is_square(w: Word) -> bool:
-    return len(w) == 2 and w[0] == w[1] and w[0][1] == 1
 
 
 def verify_amalgam(g: Graph, a: Amalgam) -> bool:
@@ -393,111 +465,16 @@ def verify_amalgam(g: Graph, a: Amalgam) -> bool:
       are single generators; the suffixes ``_1`` and ``_2`` are
       stripped.
 
-    Structurally broken amalgams (embeddings off their factors,
-    non-unit exponents, repeated edge generators) raise
-    InvalidAmalgamError.
+    Structurally broken amalgams (embeddings that are not mappings of
+    words over their factors, non-unit exponents, edge generators that
+    are not distinct strs) raise InvalidAmalgamError.
 
     >>> from .graphs import path_graph
     >>> g = path_graph("abc")
     >>> verify_amalgam(g, direct_amalgam(g, (1,))), verify_amalgam(g, star_split(g, 0))
     (True, True)
     """
-    _check_amalgam(a)
-    return _replay(g, a, {e: free_reduce(a.embed1[e]) for e in a.edge_generators})
-
-
-def _replay(g: Graph, a: Amalgam, embed1: Mapping[str, Word]) -> bool:
-    """:func:`verify_amalgam` on an amalgam that passed
-    :func:`_check_amalgam`, given its embed1 words freely reduced, on
-    vertex codes: the plain pairs read off the rewritten relators are
-    compared with g's adjacency masks.
-
-    A relator that is a plain commutator (a, b, -a, -b) of two
-    generators that each stand for one letter, x and y with x != ±y,
-    becomes x y x⁻¹ y⁻¹, which is reduced: its pair is read off that
-    shape.  That covers every factor-1 relator of a star split and every
-    factor-2 relator away from the squared generator.  Every other
-    relator is substituted letter by letter, freely reduced when it
-    comes from factor 2, and read by :func:`_code_pair`."""
-    f1gens = a.factor1.generators
-    f2gens = a.factor2.generators
-    edge_gens = a.edge_generators
-    embed2 = {e: free_reduce(a.embed2[e]) for e in edge_gens}
-    shared = set(f1gens) & set(f2gens)
-    if shared == set(edge_gens) and embed1 == {e: ((e, 1),) for e in edge_gens} == embed2:
-        suffix1 = suffix2 = ""
-    elif shared or sum(map(_is_square, embed1.values())) != 1:
-        return False
-    else:
-        suffix1, suffix2 = SUFFIX_STAR, SUFFIX_AMBIENT
-
-    # Tietze eliminations: each identified factor-2 generator becomes its
-    # embed1 word
-    table = {}
-    for e in edge_gens:
-        w1, w2 = embed1[e], embed2[e]
-        if not (_is_square(w1) or len(w1) == 1 and w1[0][1] == 1):
-            return False
-        if len(w2) != 1 or w2[0][1] != 1 or w2[0][0] in table:
-            return False
-        table[w2[0][0]] = w1
-
-    # each surviving generator becomes its vertex code, vertex index plus
-    # one; each eliminated one becomes its embed1 word over those codes
-    index = g._index
-    code1 = [_vertex_code(index, x, suffix1) for x in f1gens]
-    subs = [None if x in table else (_vertex_code(index, x, suffix2),) for x in f2gens]
-    found = code1 + [w[0] for w in subs if w is not None]
-    if len(found) != g.n or len(set(found) - {0}) != g.n:
-        return False
-    by_label = dict(zip(f1gens, code1))
-    for k, x in enumerate(f2gens):
-        if subs[k] is None:
-            subs[k] = tuple(e * by_label[y] for y, e in table[x])
-    # signed lookups: entry c serves letter c, entry -c its inverse
-    look1 = ((), *((c,) for c in code1), *((-c,) for c in reversed(code1)))
-    look2 = ((), *subs, *(tuple(-c for c in reversed(w)) for w in reversed(subs)))
-
-    # plain[c]: the codes that share a plain commutator with code c, as
-    # bits c - 1, to be compared with g's adjacency masks
-    plain = [0] * (g.n + 1)
-    powers = []
-    for look, codes, reduce in ((look1, a.factor1._codes, False), (look2, a.factor2._codes, True)):
-        for w in codes:
-            if len(w) == 4 and w[2] == -w[0] and w[3] == -w[1]:
-                sx, sy = look[w[0]], look[w[1]]
-                if len(sx) == 1 and len(sy) == 1:
-                    x, y = abs(sx[0]), abs(sy[0])
-                    if x != y:
-                        plain[x] |= 1 << y - 1
-                        plain[y] |= 1 << x - 1
-                        continue
-            w = [c for x in w for c in look[x]]
-            if reduce:
-                w = _reduce_codes(w)
-            if not w:
-                continue
-            pair = _code_pair(w)
-            if pair is None:
-                return False
-            x, y = pair
-            if len(w) == 4:
-                plain[x] |= 1 << y - 1
-                plain[y] |= 1 << x - 1
-            else:
-                powers.append(pair)
-    adj = g.adjacency_masks
-    return all(plain[i + 1] == adj[i] for i in range(g.n)) and all(
-        plain[x] >> y - 1 & 1 for x, y in powers
-    )
-
-
-def _vertex_code(index: Mapping[str, int], x: str, suffix: str) -> int:
-    """Index plus one of the vertex labelled ``x`` without ``suffix``;
-    0 when ``x`` lacks the suffix or no vertex has that label."""
-    if not x.endswith(suffix):
-        return 0
-    return index.get(x[: len(x) - len(suffix)], -1) + 1
+    return _verify(g, a, star_only=False)
 
 
 def verify_star_split(g: Graph, a: Amalgam) -> bool:
@@ -509,10 +486,168 @@ def verify_star_split(g: Graph, a: Amalgam) -> bool:
     square on the star side, so a direct amalgam never passes as a star
     split.
     """
+    return _verify(g, a, star_only=True)
+
+
+def _verify(g: Graph, a: Amalgam, star_only: bool) -> bool:
+    """:func:`verify_amalgam`, or with ``star_only``
+    :func:`verify_star_split`: the replay's tables, then :func:`_replay`.
+
+    An amalgam that still holds the coded form its constructor attached,
+    verified against the graph it was built on with both embeddings
+    equal to the ones built, takes its tables from that form.  Any other
+    amalgam is checked by :func:`_check_amalgam` and decoded from its
+    labels by :func:`_decode`."""
+    c = a._coded
+    if (
+        c is not None
+        and (c.square is not None or not star_only)
+        and (g is c.graph or g == c.graph)
+        and a.embed1 == c.embed1
+        and a.embed2 == c.embed2
+    ):
+        return _replay(g, a, c.vertices1, c.vertices2, c.square)
     _check_amalgam(a)
-    if set(a.factor1.generators) & set(a.factor2.generators):
+    tables = _decode(g, a, star_only)
+    return tables is not None and _replay(g, a, *tables)
+
+
+def _decode(
+    g: Graph, a: Amalgam, star_only: bool
+) -> Optional[tuple[list[int], list[int], Optional[int]]]:
+    """The replay's tables for an amalgam that passed
+    :func:`_check_amalgam`, read off its labels, in the form of
+    :class:`_Coded`: the vertex of each factor-1 generator, the vertex
+    each factor-2 generator stands for after the eliminations (its own
+    if it survives, its embed1 letter's if it is eliminated), and the
+    factor-2 generator whose embed1 word is a square.  None when the
+    amalgam has neither shape :func:`verify_amalgam` accepts (with
+    ``star_only``, when it is not a star split), or when the surviving
+    names do not cover the vertices of g exactly once.  With
+    ``star_only``, factors that share a generator name raise
+    InvalidAmalgamError.
+
+    Embed words are coded over their factor and freely reduced; a name
+    is decoded through a ``{label + suffix: index}`` map, with the
+    suffixes of the amalgam's shape."""
+    f1gens = a.factor1.generators
+    f2gens = a.factor2.generators
+    edge_gens = a.edge_generators
+    code1 = {x: k for k, x in enumerate(f1gens, 1)}
+    code2 = {x: k for k, x in enumerate(f2gens, 1)}
+    words1 = [_reduce_codes([exp * code1[x] for x, exp in a.embed1[e]]) for e in edge_gens]
+    words2 = [_reduce_codes([exp * code2[x] for x, exp in a.embed2[e]]) for e in edge_gens]
+    shared = code1.keys() & code2.keys()
+    if star_only and shared:
         raise InvalidAmalgamError("factor generator names overlap")
-    embed1 = {e: free_reduce(a.embed1[e]) for e in a.edge_generators}
-    if sum(map(_is_square, embed1.values())) != 1:
+    if (
+        not star_only
+        and shared == set(edge_gens)
+        and all(w == (code1[e],) for e, w in zip(edge_gens, words1))
+        and all(w == (code2[e],) for e, w in zip(edge_gens, words2))
+    ):
+        names1 = names2 = g._index
+    elif shared or sum(len(w) == 2 and w[0] == w[1] > 0 for w in words1) != 1:
+        return None
+    else:
+        names1 = {x + SUFFIX_STAR: i for i, x in enumerate(g.labels)}
+        names2 = {x + SUFFIX_AMBIENT: i for i, x in enumerate(g.labels)}
+
+    # Tietze eliminations: each identified factor-2 generator becomes its
+    # embed1 word, one factor-1 letter or its square
+    table = {}
+    for w1, w2 in zip(words1, words2):
+        if not (len(w1) == 1 or len(w1) == 2 and w1[0] == w1[1]) or w1[0] < 0:
+            return None
+        if len(w2) != 1 or w2[0] < 0 or w2[0] in table:
+            return None
+        table[w2[0]] = w1
+
+    # a name without its shape's suffix, or naming no vertex, decodes to -1
+    vertices1 = [names1.get(x, -1) for x in f1gens]
+    vertices2 = [names2.get(x, -1) for x in f2gens]
+    found = vertices1 + [v for k, v in enumerate(vertices2, 1) if k not in table]
+    if len(found) != g.n or len(set(found) - {-1}) != g.n:
+        return None
+    square = None
+    for k, w1 in table.items():
+        vertices2[k - 1] = vertices1[w1[0] - 1]
+        if len(w1) == 2:
+            square = k - 1
+    return vertices1, vertices2, square
+
+
+def _replay(
+    g: Graph, a: Amalgam, vertices1: Sequence[int], vertices2: Sequence[int], square: Optional[int]
+) -> bool:
+    """The rewriting of :func:`verify_amalgam` on integer tables, shaped
+    as :class:`_Coded`: factor-1 generator k stands for the vertex
+    ``vertices1[k - 1]``, and factor-2 generator k, after the
+    eliminations, for the vertex ``vertices2[k - 1]``, or for its square
+    when k - 1 is ``square``.  Both factors' coded relators are read
+    through these tables, and the plain pairs read off them are compared
+    with g's adjacency masks.
+
+    The tables come from the coded form a package constructor attached,
+    or from :func:`_decode` for every other amalgam; this is the only
+    replay.
+
+    A relator of the plain commutator shape (a, b, -a, -b) becomes
+    x^p y^q x^-p y^-q, with x and y the vertices a and b stand for.
+    When x = y it reduces to nothing.  That happens only in factor 2,
+    where two generators can stand for one vertex: factor-1 generators
+    stand for distinct vertices, and a stored relator of this shape
+    names two generators.  Otherwise the word is reduced, and its pair
+    (x, y) is read off that shape, plain unless a or b is the squared
+    generator.  That covers every relator of a package-built amalgam.
+    Any other relator is substituted letter by letter, freely reduced
+    when it comes from factor 2, and read by :func:`_code_pair`."""
+    # the codes of the squared factor-2 generator and of its inverse
+    squared2 = () if square is None else (square + 1, -square - 1)
+    # plain[x]: the vertices that share a plain commutator with vertex x,
+    # as bits, to be compared with g's adjacency masks
+    plain = [0] * g.n
+    powers = []
+    for vertices, codes, squared, reduce in (
+        (vertices1, a.factor1._codes, (), False),
+        (vertices2, a.factor2._codes, squared2, True),
+    ):
+        # signed lookup: entries c and -c are the vertex of generator c
+        look = (-1, *vertices, *reversed(vertices))
+        for w in codes:
+            if len(w) == 4:
+                p, q, r, s = w
+                if r == -p and s == -q:
+                    x, y = look[p], look[q]
+                    if x == y:
+                        continue
+                    if p in squared or q in squared:
+                        powers.append((x, y))
+                    else:
+                        plain[x] |= 1 << y
+                        plain[y] |= 1 << x
+                    continue
+            word = []
+            for c in w:
+                # vertex codes: vertex index plus one, signed
+                x = look[c] + 1 if c > 0 else -look[c] - 1
+                word += (x, x) if c in squared else (x,)
+            if reduce:
+                word = _reduce_codes(word)
+            if not word:
+                continue
+            pair = _code_pair(word)
+            if pair is None:
+                return False
+            x, y = pair[0] - 1, pair[1] - 1
+            if len(word) == 4:
+                plain[x] |= 1 << y
+                plain[y] |= 1 << x
+            else:
+                powers.append((x, y))
+    if tuple(plain) != g.adjacency_masks:
         return False
-    return _replay(g, a, embed1)
+    for x, y in powers:
+        if not plain[x] >> y & 1:
+            return False
+    return True

@@ -9,6 +9,7 @@ adjacency sets, lattice distances come from multi-source BFS.
 ``parse_dot_oracle``,
 ``ccd_recursion_oracle``, ``decompose_oracle``,
 ``verify_star_split_oracle``, ``verify_amalgam_oracle``,
+``replay_oracle``, ``replay_star_split_oracle``,
 ``subgroup_points_oracle`` and
 ``deep_witnesses_oracle`` are instead the code that a rewrite replaced,
 kept to test the new code differentially.
@@ -20,6 +21,7 @@ import itertools
 import random
 import re
 from collections import deque
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -41,7 +43,10 @@ from raagsplit.presentations import (
     SUFFIX_STAR,
     Amalgam,
     Presentation,
+    Word,
     _check_amalgam as _check_amalgam_strict,
+    _code_pair,
+    _reduce_codes,
     commutator,
     free_reduce,
     inverse_word,
@@ -746,6 +751,125 @@ def verify_amalgam_oracle(g: Graph, a: Amalgam) -> bool:
         (plain if len(w) == 4 else powers).add(frozenset(relabel[x] for x in pair))
     edges = {frozenset((g.labels[i], g.labels[j])) for i, j in g.edges()}
     return plain == edges and powers <= plain
+
+
+# coded replay reference: the replay ``verify_amalgam`` and
+# ``verify_star_split`` ran before amalgams carried a coded form, moved
+# here verbatim.  It re-checks every amalgam with the package's
+# structural check, free-reduces the labelled embed words and strips the
+# shape's suffixes one generator at a time
+
+
+def replay_oracle(g: Graph, a: Amalgam) -> bool:
+    """``verify_amalgam`` as it was: the structural check, then
+    ``_replay`` on the freely reduced embed1 words."""
+    _check_amalgam_strict(a)
+    return _replay(g, a, {e: free_reduce(a.embed1[e]) for e in a.edge_generators})
+
+
+def replay_star_split_oracle(g: Graph, a: Amalgam) -> bool:
+    """``verify_star_split`` as it was."""
+    _check_amalgam_strict(a)
+    if set(a.factor1.generators) & set(a.factor2.generators):
+        raise InvalidAmalgamError("factor generator names overlap")
+    embed1 = {e: free_reduce(a.embed1[e]) for e in a.edge_generators}
+    if sum(map(_is_square, embed1.values())) != 1:
+        return False
+    return _replay(g, a, embed1)
+
+
+def _replay(g: Graph, a: Amalgam, embed1: Mapping[str, Word]) -> bool:
+    """:func:`verify_amalgam` on an amalgam that passed
+    :func:`_check_amalgam`, given its embed1 words freely reduced, on
+    vertex codes: the plain pairs read off the rewritten relators are
+    compared with g's adjacency masks.
+
+    A relator that is a plain commutator (a, b, -a, -b) of two
+    generators that each stand for one letter, x and y with x != ±y,
+    becomes x y x⁻¹ y⁻¹, which is reduced: its pair is read off that
+    shape.  That covers every factor-1 relator of a star split and every
+    factor-2 relator away from the squared generator.  Every other
+    relator is substituted letter by letter, freely reduced when it
+    comes from factor 2, and read by :func:`_code_pair`."""
+    f1gens = a.factor1.generators
+    f2gens = a.factor2.generators
+    edge_gens = a.edge_generators
+    embed2 = {e: free_reduce(a.embed2[e]) for e in edge_gens}
+    shared = set(f1gens) & set(f2gens)
+    if shared == set(edge_gens) and embed1 == {e: ((e, 1),) for e in edge_gens} == embed2:
+        suffix1 = suffix2 = ""
+    elif shared or sum(map(_is_square, embed1.values())) != 1:
+        return False
+    else:
+        suffix1, suffix2 = SUFFIX_STAR, SUFFIX_AMBIENT
+
+    # Tietze eliminations: each identified factor-2 generator becomes its
+    # embed1 word
+    table = {}
+    for e in edge_gens:
+        w1, w2 = embed1[e], embed2[e]
+        if not (_is_square(w1) or len(w1) == 1 and w1[0][1] == 1):
+            return False
+        if len(w2) != 1 or w2[0][1] != 1 or w2[0][0] in table:
+            return False
+        table[w2[0][0]] = w1
+
+    # each surviving generator becomes its vertex code, vertex index plus
+    # one; each eliminated one becomes its embed1 word over those codes
+    index = g._index
+    code1 = [_vertex_code(index, x, suffix1) for x in f1gens]
+    subs = [None if x in table else (_vertex_code(index, x, suffix2),) for x in f2gens]
+    found = code1 + [w[0] for w in subs if w is not None]
+    if len(found) != g.n or len(set(found) - {0}) != g.n:
+        return False
+    by_label = dict(zip(f1gens, code1))
+    for k, x in enumerate(f2gens):
+        if subs[k] is None:
+            subs[k] = tuple(e * by_label[y] for y, e in table[x])
+    # signed lookups: entry c serves letter c, entry -c its inverse
+    look1 = ((), *((c,) for c in code1), *((-c,) for c in reversed(code1)))
+    look2 = ((), *subs, *(tuple(-c for c in reversed(w)) for w in reversed(subs)))
+
+    # plain[c]: the codes that share a plain commutator with code c, as
+    # bits c - 1, to be compared with g's adjacency masks
+    plain = [0] * (g.n + 1)
+    powers = []
+    for look, codes, reduce in ((look1, a.factor1._codes, False), (look2, a.factor2._codes, True)):
+        for w in codes:
+            if len(w) == 4 and w[2] == -w[0] and w[3] == -w[1]:
+                sx, sy = look[w[0]], look[w[1]]
+                if len(sx) == 1 and len(sy) == 1:
+                    x, y = abs(sx[0]), abs(sy[0])
+                    if x != y:
+                        plain[x] |= 1 << y - 1
+                        plain[y] |= 1 << x - 1
+                        continue
+            w = [c for x in w for c in look[x]]
+            if reduce:
+                w = _reduce_codes(w)
+            if not w:
+                continue
+            pair = _code_pair(w)
+            if pair is None:
+                return False
+            x, y = pair
+            if len(w) == 4:
+                plain[x] |= 1 << y - 1
+                plain[y] |= 1 << x - 1
+            else:
+                powers.append(pair)
+    adj = g.adjacency_masks
+    return all(plain[i + 1] == adj[i] for i in range(g.n)) and all(
+        plain[x] >> y - 1 & 1 for x, y in powers
+    )
+
+
+def _vertex_code(index: Mapping[str, int], x: str, suffix: str) -> int:
+    """Index plus one of the vertex labelled ``x`` without ``suffix``;
+    0 when ``x`` lacks the suffix or no vertex has that label."""
+    if not x.endswith(suffix):
+        return 0
+    return index.get(x[: len(x) - len(suffix)], -1) + 1
 
 
 # lattice reference: multi-source BFS inside the box is exact for the

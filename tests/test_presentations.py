@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from conftest import (
     connected_graphs,
     random_connected_graph,
+    replay_oracle,
+    replay_star_split_oracle,
     verify_amalgam_oracle,
     verify_star_split_oracle,
 )
+from raagsplit import presentations
 from raagsplit.errors import (
     InvalidAmalgamError,
     InvalidArgumentError,
@@ -25,6 +28,7 @@ from raagsplit.splitting import DIRECT_AMALGAM, STAR_SPLIT, splits_over_rank
 from raagsplit.presentations import (
     SUFFIX_AMBIENT,
     SUFFIX_STAR,
+    Amalgam,
     Presentation,
     _raag_on,
     commutator,
@@ -259,6 +263,8 @@ class TestVerifyStarSplit:
         a = star_split(path_graph("abc"), 0)
         triangle = Graph("abc", [("a", "b"), ("b", "c"), ("a", "c")])
         assert verify_star_split(triangle, a) is False
+        assert verify_star_split_oracle(triangle, a) is False
+        assert verify_amalgam(triangle, a) is False
 
     def test_missing_embedding_entry(self):
         g = path_graph("abc")
@@ -407,6 +413,10 @@ class TestVerifyStarSplitDifferential:
             h, edited, kind = _single_edit(rng, g, a)
             expect = _outcome(verify_star_split_oracle, h, edited)
             assert _outcome(verify_star_split, h, edited) == expect, (kind, g.edges(), edited)
+            assert _outcome(replay_star_split_oracle, h, edited) == expect, (kind, g.edges(), edited)
+            as_amalgam = _outcome(verify_amalgam, h, edited)
+            assert as_amalgam == _outcome(replay_oracle, h, edited), (kind, g.edges(), edited)
+            assert as_amalgam == _outcome(verify_amalgam_oracle, h, edited), (kind, g.edges(), edited)
             seen.setdefault(kind, set()).add(expect if isinstance(expect, bool) else expect.__name__)
         # every edit kind ran, and the edits reach all three outcomes
         assert set(seen) == {"drop", "duplicate", "embed", "flip", "rename", "ambient"}
@@ -542,6 +552,10 @@ class TestVerifyAmalgam:
             h, edited, kind = edit
             outcome = _outcome(verify_amalgam, h, edited)
             assert outcome is False or outcome is InvalidAmalgamError, (kind, g.edges(), edited)
+            assert outcome == _outcome(replay_oracle, h, edited), (kind, g.edges(), edited)
+            assert outcome == _outcome(verify_amalgam_oracle, h, edited), (kind, g.edges(), edited)
+            as_star = _outcome(verify_star_split, h, edited)
+            assert as_star == _outcome(replay_star_split_oracle, h, edited), (kind, g.edges(), edited)
             seen[kind] = seen.get(kind, 0) + 1
             outcomes.add(outcome)
         assert set(seen) == {"drop", "ambient", "rename", "embed"}
@@ -550,9 +564,10 @@ class TestVerifyAmalgam:
 
 class TestCodedWords:
     """Relators are stored as generator codes.  ``_raag_on`` writes them
-    without the validating constructor, and ``verify_amalgam`` replays on
-    vertex codes; both are tied here to the label-word routes they
-    replaced: the constructor, and ``verify_amalgam_oracle``."""
+    without the validating constructor, and the one replay reads them
+    through integer tables; both are tied here to the routes they
+    replaced: the constructor, ``verify_amalgam_oracle`` and the replay
+    on labelled embed words, kept as ``replay_oracle``."""
 
     def test_raag_on_matches_validating_constructor(self):
         built = 0
@@ -598,11 +613,28 @@ class TestCodedWords:
             assert q == p and hash(q) == hash(p)
             assert q.relators == p.relators and q.text() == p.text()
 
-    def test_replay_matches_oracle_on_emitted_amalgams(self):
+    def test_replay_matches_oracle_on_emitted_amalgams(self, monkeypatch):
         corpus = [(g, a) for g, a, _ in _emitted_amalgams(5)] + list(_star_split_corpus())
+
+        def recheck(a):
+            raise AssertionError("a package-built amalgam was checked and decoded")
+
+        # untouched package-built amalgams take the coded tables: neither
+        # the structural check nor the decoding runs
+        monkeypatch.setattr(presentations, "_check_amalgam", recheck)
         for g, a in corpus:
             assert verify_amalgam(g, a) is True
+            # an equal graph built again is the graph the amalgam was built on
+            assert verify_amalgam(Graph(g.labels, [g.labels_of(e) for e in g.edges()]), a) is True
+            if a._coded.square is not None:
+                assert verify_star_split(g, a) is True
+        monkeypatch.undo()
+        for g, a in corpus:
             assert verify_amalgam_oracle(g, a) is True
+            assert replay_oracle(g, a) is True
+            as_star = _outcome(verify_star_split, g, a)
+            assert as_star == _outcome(replay_star_split_oracle, g, a)
+            assert (as_star is True) == (a._coded.square is not None)
 
     def test_shape_read_agrees_when_letters_collide(self):
         # two edge generators embedded as the same factor-1 letter x turn
@@ -651,3 +683,116 @@ class TestCodedWords:
             outcomes.add(expect)
             compared += 1
         assert outcomes == {True, False, InvalidAmalgamError}
+
+
+class TestMalformedAmalgams:
+    """Amalgams broken in their types raise InvalidAmalgamError from
+    both verifiers, not a bare TypeError."""
+
+    @pytest.mark.parametrize("verify", [verify_amalgam, verify_star_split])
+    @pytest.mark.parametrize("name", ["embed1", "embed2"])
+    def test_embedding_not_a_mapping(self, verify, name):
+        g = path_graph("abc")
+        a = star_split(g, 0)
+        with pytest.raises(InvalidAmalgamError, match="must be a mapping"):
+            verify(g, replace(a, **{name: None}))
+
+    @pytest.mark.parametrize("verify", [verify_amalgam, verify_star_split])
+    def test_embed_word_not_iterable(self, verify):
+        g = path_graph("abc")
+        a = star_split(g, 0)
+        with pytest.raises(InvalidAmalgamError, match="must be a word"):
+            verify(g, replace(a, embed1={**a.embed1, "a": 5}))
+
+    @pytest.mark.parametrize("verify", [verify_amalgam, verify_star_split])
+    @pytest.mark.parametrize("edge_gens", [(["a"],), ("a", 1), None, "ab"])
+    def test_edge_generator_not_a_str(self, verify, edge_gens):
+        g = path_graph("abc")
+        a = star_split(g, 0)
+        with pytest.raises(InvalidAmalgamError, match="edge generators must be"):
+            verify(g, replace(a, edge_generators=edge_gens))
+
+
+class TestCodedForm:
+    """``star_split`` and ``direct_amalgam`` attach a coded form that the
+    replay trusts only for the graph the amalgam was built on, and only
+    while the embeddings are the ones built."""
+
+    def test_public_fields_equality_and_repr_unchanged(self):
+        g = path_graph("abc")
+        for a in (star_split(g, 0), direct_amalgam(g, (1,))):
+            plain = Amalgam(a.factor1, a.factor2, a.edge_generators, dict(a.embed1), dict(a.embed2))
+            assert a == plain and repr(a) == repr(plain)
+            assert a._coded is not None and plain._coded is None
+            assert replace(a)._coded is None and replace(a) == a
+        assert [f.name for f in fields(Amalgam) if f.init] == [
+            "factor1", "factor2", "edge_generators", "embed1", "embed2",
+        ]
+
+    def test_in_place_edit_of_embed1(self):
+        g = path_graph("abc")
+        a = star_split(g, 0)
+        a.embed1["a"] = (("a_1", 1),)
+        assert verify_star_split(g, a) is False
+        assert verify_amalgam(g, a) is False
+        assert verify_star_split_oracle(g, a) is False
+
+    def test_in_place_edit_of_embed2(self):
+        g = path_graph("abc")
+        a = star_split(g, 0)
+        a.embed2["a"] = (("b_2", 1),)
+        assert verify_star_split(g, a) is False
+        assert verify_amalgam(g, a) is False
+        assert verify_star_split_oracle(g, a) is False
+        # the structural check runs again too
+        a.embed2["a"] = (("a_1", 1),)
+        with pytest.raises(InvalidAmalgamError):
+            verify_star_split(g, a)
+
+    def test_in_place_edit_of_a_direct_amalgam(self):
+        g = path_graph("abc")
+        a = direct_amalgam(g, (1,))
+        a.embed1["b"] = (("a", 1),)
+        assert verify_amalgam(g, a) is False
+        assert verify_amalgam_oracle(g, a) is False
+        a = direct_amalgam(g, (1,))
+        a.embed2["b"] = (("b", 1), ("b", 1))
+        assert verify_amalgam(g, a) is False
+        assert verify_amalgam_oracle(g, a) is False
+        a.embed2["b"] = (("a", 1),)
+        with pytest.raises(InvalidAmalgamError):
+            verify_amalgam(g, a)
+
+    def test_other_graphs_get_the_oracles_answer(self):
+        corpus = [(g, a) for g, a, _ in _emitted_amalgams(4)] + list(_star_split_corpus())
+        outcomes = set()
+        for g, a in corpus:
+            if g.n > 4:
+                continue
+            others = [Graph(g.labels[::-1], [g.labels_of(e) for e in g.edges()])]
+            for i in range(g.n):
+                for j in range(i + 1, g.n):
+                    edges = set(g.edges()) ^ {(i, j)}
+                    others.append(Graph(g.labels, [g.labels_of(e) for e in sorted(edges)]))
+            for h in others:
+                expect = _outcome(verify_amalgam_oracle, h, a)
+                assert _outcome(verify_amalgam, h, a) == expect, (g.edges(), h.edges(), a)
+                if a._coded.square is not None:
+                    expect = _outcome(verify_star_split_oracle, h, a)
+                    assert _outcome(verify_star_split, h, a) == expect, (g.edges(), h.edges(), a)
+                outcomes.add(expect)
+        # the same labelled graph in reversed vertex order verifies, on
+        # tables decoded from the labels
+        assert outcomes == {True, False}
+
+    def test_whole_graph_factor_built_once_per_graph(self):
+        g = path_graph("abcde")
+        twin = path_graph("abcde")
+        before = hash(g)
+        a, b = star_split(g, 0), star_split(g, 4)
+        assert a.factor2 is b.factor2
+        assert a.factor2 == presentations._raag_on(g, g.vertices(), SUFFIX_AMBIENT)
+        assert star_split(twin, 0).factor2 is not a.factor2
+        # the cache entry changes neither equality nor hashing
+        assert g == twin and hash(g) == hash(twin) == before
+        assert g == path_graph("abcde") and hash(g) == hash(path_graph("abcde"))
