@@ -310,6 +310,8 @@ def validate_ccd(g: Graph, t: CcdTree) -> CcdValidation:
 
     cuts_ok = True
     adj, full = g.adjacency_masks, (1 << limit) - 1
+    # tree edges that carry the same cut share one separation search
+    connected_without: dict[int, bool] = {}
     for (r, s), cut in zip(t.tree_edges, t.cuts):
         mask = 0
         for v in cut:
@@ -317,7 +319,9 @@ def validate_ccd(g: Graph, t: CcdTree) -> CcdValidation:
         faults = []
         if not g._is_clique_mask(mask):
             faults.append("is not a clique")
-        if kernels.is_connected_bits(adj, full & ~mask):
+        if mask not in connected_without:
+            connected_without[mask] = kernels.is_connected_bits(adj, full & ~mask)
+        if connected_without[mask]:
             faults.append("does not separate the graph")
         if not all(mask & ~pm == 0 and mask != pm for pm in (piece_masks[r], piece_masks[s])):
             faults.append("is not a proper subset of both pieces")

@@ -14,11 +14,15 @@ vertices, unknown endpoints, self-loops) surface as the graph
 constructor's errors; only syntax problems raise GraphParseError, which
 carries a 1-based line and column where known.
 
+A JSON document is checked for its shape in one plain loop over its
+vertices and one over its edges, which also builds the edge pairs.
 Each line parser makes one pass over its text: an edge-list line is
-split with ``str.split``, and a DOT text is cut into tokens by one
-regex scan of the whole text, then walked by the grammar as plain
-strings.  Line and column are worked out only when an error is raised,
-with line breaks as ``str.splitlines`` counts them.
+split with ``str.split``, and a DOT text, padded with spaces around
+``;``, ``{`` and ``}``, is split into chunks the same way.  A chunk that
+is not one whole token (``a--b``, ``0abc``) is cut by a regex; clean
+files never need it.  The tokens are then walked by the grammar as
+plain strings.  Line and column are worked out only when an error is
+raised, with line breaks as ``str.splitlines`` counts them.
 """
 
 from __future__ import annotations
@@ -99,14 +103,24 @@ def _parse_json(text: str) -> GraphDocument:
         raise GraphParseError("top level must be an object", line=1, column=1)
     vertices = doc.get("vertices")
     edges = doc.get("edges", [])
-    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+    # json.loads builds only plain lists and strs, so a class test is
+    # an isinstance test here, and cheaper
+    if vertices.__class__ is not list:
         raise GraphParseError('"vertices" must be a list of strings')
-    if not isinstance(edges, list) or not all(
-        isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e)
-        for e in edges
-    ):
+    for v in vertices:
+        if v.__class__ is not str:
+            raise GraphParseError('"vertices" must be a list of strings')
+    if edges.__class__ is not list:
         raise GraphParseError('"edges" must be a list of two-element label lists')
-    return GraphDocument("json", tuple(vertices), tuple((a, b) for a, b in edges))
+    pairs = []
+    for e in edges:
+        if e.__class__ is list and len(e) == 2:
+            a, b = e
+            if a.__class__ is str and b.__class__ is str:
+                pairs.append((a, b))
+                continue
+        raise GraphParseError('"edges" must be a list of two-element label lists')
+    return GraphDocument("json", tuple(vertices), tuple(pairs))
 
 
 def _parse_edge_list(text: str) -> GraphDocument:
@@ -132,8 +146,10 @@ def _parse_edge_list(text: str) -> GraphDocument:
 
 
 # every DOT token, then any other non-space character as a one-character
-# token of its own; whitespace is Python's (re's \s is str.isspace).
-# Left to re's cache, so a process that reads no DOT file never compiles it.
+# token of its own; whitespace is Python's (re's \s is str.isspace, and
+# str.split splits on the same characters).  Left to re's cache, and
+# used only on a chunk that is not one whole token, so a process that
+# reads only clean DOT files never compiles it.
 _DOT_TOKEN = "--|[{};]|" + _DOT_ID.pattern + r"|\S"
 _DOT_PUNCT = frozenset(("--", "{", "}", ";"))
 
@@ -152,12 +168,20 @@ def _dot_error(text: str, message: str, at: int) -> GraphParseError:
 
 
 def _parse_dot(text: str) -> GraphDocument:
-    toks = re.findall(_DOT_TOKEN, text)
-    # a token that is neither punctuation nor an identifier came from \S
-    stray = [t for t in set(toks) if t not in _DOT_PUNCT and not _DOT_ID.fullmatch(t)]
-    if stray:
-        at = min(toks.index(t) for t in stray)
-        raise _dot_error(text, f"unexpected character {toks[at]!r}", at)
+    # No token holds whitespace or runs across ";", "{" or "}", so the
+    # text padded around those three and split on whitespace is a list
+    # of chunks that each hold whole tokens, in the order that
+    # re.findall(_DOT_TOKEN, text) finds them.  Only a chunk that is not
+    # one token by itself ("a--b", "0abc", "-") is cut by the regex.
+    toks = text.replace(";", " ; ").replace("{", " { ").replace("}", " } ").split()
+    odd = {c for c in set(toks).difference(_DOT_PUNCT) if not _DOT_ID.fullmatch(c)}
+    if odd:
+        toks = [t for c in toks for t in (re.findall(_DOT_TOKEN, c) if c in odd else (c,))]
+        # a token that is neither punctuation nor an identifier came from \S
+        stray = [t for t in set(toks) if t not in _DOT_PUNCT and not _DOT_ID.fullmatch(t)]
+        if stray:
+            at = min(toks.index(t) for t in stray)
+            raise _dot_error(text, f"unexpected character {toks[at]!r}", at)
     end = len(toks)
     if not toks:
         raise _dot_error(text, "unexpected end of input", -1)

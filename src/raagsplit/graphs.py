@@ -382,7 +382,16 @@ class Graph:
         before them (Algorithm MCS-M+).  Those that are cliques are the
         candidates of :meth:`_clique_separator_candidates`, which are
         filtered down to the inclusion-minimal ones: a clique minimal
-        separator can hold a smaller one.  A complete graph has none, since
+        separator can hold a smaller one.  The candidates come sorted by
+        size, so a candidate is minimal unless a minimal one kept before
+        it lies inside it, and that one's lowest vertex is in the
+        candidate.  The kept ones sit in buckets by their lowest vertex,
+        and a candidate is tested only against the buckets of its own
+        vertices.  Each test is one mask operation, and a vertex's
+        bucket holds only minimal separators whose lowest vertex it is,
+        so on paths, trees and clique-sums the filter is near-linear in
+        the number of candidates, where testing every pair was quadratic.
+        A complete graph has none, since
         removing vertices from it leaves a complete graph, which is
         connected; that case is answered from the adjacency masks in
         O(n), before MCS-M runs.
@@ -396,12 +405,14 @@ class Graph:
             elif not self.is_connected():
                 self._cache["mcs"] = [()]
             else:
-                kept = self._clique_separator_candidates()
-                self._cache["mcs"] = sorted(
-                    _mask_to_set(s)
-                    for s in kept
-                    if not any(t != s and t & ~s == 0 for t in kept)
-                )
+                buckets: dict[int, list[int]] = {}
+                found = []
+                for s in self._clique_separator_candidates():
+                    vs = _mask_to_set(s)
+                    if not any(t & ~s == 0 for v in vs for t in buckets.get(v, ())):
+                        buckets.setdefault(vs[0], []).append(s)
+                        found.append(vs)
+                self._cache["mcs"] = sorted(found)
         return list(self._cache["mcs"])
 
 

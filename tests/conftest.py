@@ -5,8 +5,8 @@ they can catch systematic mistakes: separator checks run on plain
 adjacency sets, lattice distances come from multi-source BFS.
 ``minimal_separators_enumeration_oracle``, ``mcs_m_madj_oracle``,
 ``clique_separator_candidates_oracle``, ``graph_init_oracle``,
-``induced_subgraph_oracle``, ``parse_edge_list_oracle``,
-``parse_dot_oracle``,
+``induced_subgraph_oracle``, ``minimal_filter_oracle``,
+``parse_json_oracle``, ``parse_edge_list_oracle``, ``parse_dot_oracle``,
 ``ccd_recursion_oracle``, ``decompose_oracle``,
 ``verify_star_split_oracle``, ``verify_amalgam_oracle``,
 ``replay_oracle``, ``replay_star_split_oracle``,
@@ -18,6 +18,7 @@ kept to test the new code differentially.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import re
 from collections import deque
@@ -117,8 +118,12 @@ def mask_graph(n: int, mask: int, prefix: str = "v") -> Graph:
 
 
 def all_graphs(n: int):
-    for mask in range(1 << (n * (n - 1) // 2)):
-        yield mask_graph(n, mask)
+    """``mask_graph(n, mask)`` for every mask, in mask order, with the
+    labels and the index pairs built once."""
+    labels = [f"v{i}" for i in range(n)]
+    pairs = [(labels[i], labels[j]) for i, j in itertools.combinations(range(n), 2)]
+    for mask in range(1 << len(pairs)):
+        yield Graph(labels, [p for k, p in enumerate(pairs) if mask >> k & 1])
 
 
 def connected_graphs(n: int):
@@ -190,6 +195,22 @@ def minimal_clique_separators_oracle(g: Graph):
     return sorted(seps)
 
 
+def minimal_filter_oracle(g: Graph):
+    """``Graph.minimal_clique_separators`` before its candidates were
+    kept in buckets by their lowest vertex: every candidate is tested
+    against every other, quadratic in their number."""
+    if g.is_complete():
+        return []
+    if not g.is_connected():
+        return [()]
+    kept = g._clique_separator_candidates()
+    return sorted(
+        _mask_to_set(s)
+        for s in kept
+        if not any(t != s and t & ~s == 0 for t in kept)
+    )
+
+
 def mcs_m_madj_oracle(g: Graph) -> list[int]:
     """``Graph._mcs_m_madj`` before its weight levels were kept between
     steps: it rebuilds the level masks from a weight list at every step
@@ -258,6 +279,29 @@ def full_components_oracle(g: Graph, cut) -> int:
         if cut <= set().union(*(adj[v] for v in comp)):
             count += 1
     return count
+
+
+def parse_json_oracle(text: str) -> GraphDocument:
+    """The JSON parser before its shape checks became one plain loop:
+    nested generator expressions, then the edge pairs built apart."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GraphParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
+    except RecursionError:
+        raise GraphParseError("JSON nesting is too deep") from None
+    if not isinstance(doc, dict):
+        raise GraphParseError("top level must be an object", line=1, column=1)
+    vertices = doc.get("vertices")
+    edges = doc.get("edges", [])
+    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+        raise GraphParseError('"vertices" must be a list of strings')
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e)
+        for e in edges
+    ):
+        raise GraphParseError('"edges" must be a list of two-element label lists')
+    return GraphDocument("json", tuple(vertices), tuple((a, b) for a, b in edges))
 
 
 def parse_edge_list_oracle(text: str) -> GraphDocument:

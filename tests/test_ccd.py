@@ -171,6 +171,35 @@ class TestValidate:
         rep = validate_ccd(g, CcdTree(((0, 1), (0, 1, 2)), ((0, 1),), ((0, 1),)))
         assert not rep.cuts_are_proper_complete_cuts
 
+    def test_one_separation_search_per_distinct_cut(self, monkeypatch):
+        # every tree edge of a star's decomposition carries the centre
+        k = 6
+        g = Graph(["h", *"abcdef"], [("h", x) for x in "abcdef"])
+        t = complete_cut_decomposition(g)
+        assert len(t.pieces) == k and set(t.cuts) == {(0,)}
+        calls = []
+        original = kernels.is_connected_bits
+
+        def counted(adj, mask):
+            calls.append(mask)
+            return original(adj, mask)
+
+        monkeypatch.setattr(kernels, "is_connected_bits", counted)
+        assert validate_ccd(g, t).passed
+        assert calls == [g._full & ~1]
+
+    def test_repeated_nonseparating_cut_faults_every_tree_edge(self):
+        g = Graph("cxyz", [("c", "x"), ("c", "y"), ("c", "z"), ("x", "y"), ("y", "z")])
+        t = CcdTree([(0, 1), (0, 2), (0, 3)], [(0, 1), (0, 2)], [(0,), (0,)])
+        rep = validate_ccd(g, t)
+        assert not rep.cuts_are_proper_complete_cuts
+        assert rep.failures == (
+            "edge (x, y) lies in no piece",
+            "edge (y, z) lies in no piece",
+            "cut ('c',) on tree edge (0, 1) does not separate the graph",
+            "cut ('c',) on tree edge (0, 2) does not separate the graph",
+        )
+
     def test_reports_never_raise_on_foreign_tree(self):
         for g, t in [
             (path_graph("ab"), CcdTree(((5, 6),))),

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import copy
+import json
 import random
 
 import pytest
 
-from conftest import DEEP_JSON, parse_dot_oracle, parse_edge_list_oracle, random_graph
+from conftest import (
+    DEEP_JSON,
+    parse_dot_oracle,
+    parse_edge_list_oracle,
+    parse_json_oracle,
+    random_graph,
+)
 from raagsplit.errors import (
     GraphParseError,
     InvalidArgumentError,
@@ -253,6 +261,7 @@ def _fuzz_corpus():
         "graph { a } }", "graph { a } b", "graph a b { }", "graph {{ a }",
         "graph\r\n{\ta -- b;\r\n}\r\n", "a b\r\nb\tc\r\n",
         "a\x0bb\x0cc", "a\u2028b c d", "a\x85b\x1cc",
+        "graph{a--b;}", "graph {a;b--c}", "graph { a -- b;c }", "graph { x; 0abc -- y; }",
     )
     rng = random.Random(2026_10)
     for k in range(3000):
@@ -290,3 +299,52 @@ class TestParserDifferential:
             assert got == _outcome(oracle, text), repr(text)
             outcomes.add(type(got))
         assert outcomes == {GraphDocument, tuple}
+
+
+# values that break the JSON shape wherever they stand in for a vertex
+# list, an edge list, a label or an edge; "ab" unpacks into two labels
+# and a two-key object into two keys, so both must be refused as edges
+_JSON_JUNK = (
+    None, True, 0, 1.5, "", "ab", [], ["a"], ["a", "b"], ["a", "b", "c"],
+    [1, "a"], ["a", None], [["a"], "b"], {}, {"a": "b", "c": "d"},
+)
+
+
+def _json_corpus():
+    """Fixed syntax and top-level cases, then seeded documents from
+    ``serialize_graph``, each as written and then with one to three
+    faults: a field dropped or replaced, or junk put into its list."""
+    yield from ("[1]", "3", '"x"', "null", "true", "[]", "{}", '{"vertices": [}', "{", "")
+    rng = random.Random(2026_18)
+    for _ in range(600):
+        doc = json.loads(serialize_graph(random_graph(rng, rng.randint(0, 9)), "json"))
+        yield json.dumps(doc)
+        for _ in range(rng.randint(1, 3)):
+            key = rng.choice(("vertices", "edges"))
+            kind = rng.randrange(3)
+            if kind == 0:
+                doc.pop(key, None)
+            elif kind == 1 or not isinstance(doc.get(key), list):
+                doc[key] = copy.deepcopy(rng.choice(_JSON_JUNK))
+            else:
+                doc[key].insert(rng.randint(0, len(doc[key])), copy.deepcopy(rng.choice(_JSON_JUNK)))
+        yield json.dumps([doc] if rng.random() < 0.05 else doc)
+
+
+class TestJsonParserDifferential:
+    """The one-loop JSON shape checks against the generator expressions
+    they replaced: an equal document, or an error with an equal message,
+    line and column."""
+
+    def test_matches_oracle(self):
+        outcomes = set()
+        for text in _json_corpus():
+            got = _outcome(lambda t: parse_document(t.encode(), "json"), text)
+            assert got == _outcome(parse_json_oracle, text), text
+            outcomes.add(got[0] if isinstance(got, tuple) else type(got))
+        assert outcomes >= {
+            GraphDocument,
+            "top level must be an object (line 1, column 1)",
+            '"vertices" must be a list of strings',
+            '"edges" must be a list of two-element label lists',
+        }

@@ -17,6 +17,7 @@ from conftest import (
     mask_graph,
     mcs_m_madj_oracle,
     minimal_clique_separators_oracle,
+    minimal_filter_oracle,
     minimal_separators_enumeration_oracle,
     random_graph,
     separates_oracle,
@@ -325,6 +326,54 @@ class TestMcsMLevels:
     def test_complete_graphs_have_no_separator(self):
         for m in range(1, 9):
             assert complete_graph(m).minimal_clique_separators() == []
+
+
+def _filter_corpus():
+    """Every connected graph with at most 5 vertices, then seeded graphs
+    with 7 to 40 vertices: random trees, clique-sums, and sparse and
+    dense G(n, p)."""
+    for n in range(1, 6):
+        yield from connected_graphs(n)
+    rng = random.Random(18_2026)
+    for k in range(400):
+        n = rng.randint(7, 40)
+        labels = [f"v{i}" for i in range(n)]
+        if k % 4 == 0:
+            yield Graph(labels, [(labels[rng.randrange(i)], labels[i]) for i in range(1, n)])
+        elif k % 4 == 1:
+            yield chordal_clique_sum(rng, rng.randint(3, 16))
+        else:
+            yield random_graph(rng, n, 3 / n if k % 4 == 2 else 0.6)
+
+
+class TestBucketedFilter:
+    """The inclusion-minimality filter with candidates kept in buckets by
+    their lowest vertex, against the quadratic filter it replaced
+    (``minimal_filter_oracle``)."""
+
+    def test_matches_quadratic_filter(self):
+        count = dropped = 0
+        for g in _filter_corpus():
+            got = g.minimal_clique_separators()
+            assert got == minimal_filter_oracle(g), (g.labels, g.edges())
+            count += 1
+            if g.n and g.is_connected():
+                dropped += len(got) < len(g._clique_separator_candidates())
+        assert count == 1 + 1 + 4 + 38 + 728 + 400
+        # the filter is exercised: some candidates hold a smaller one
+        assert dropped > 20
+
+    def test_long_path(self):
+        assert path_graph(2048).minimal_clique_separators() == [(i,) for i in range(1, 2047)]
+
+    def test_large_random_tree(self):
+        rng = random.Random(2048)
+        labels = [f"v{i}" for i in range(2048)]
+        g = Graph(labels, [(labels[rng.randrange(i)], labels[i]) for i in range(1, 2048)])
+        # the cut vertices of a tree are its vertices of degree at least 2
+        inner = [(v,) for v, nbrs in enumerate(g.adjacency_masks) if nbrs.bit_count() > 1]
+        assert len(inner) > 1000
+        assert g.minimal_clique_separators() == inner
 
 
 _FAULTS = (
