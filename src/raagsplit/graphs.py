@@ -9,7 +9,9 @@ lexicographic order.
 
 Internally adjacency lives in bitmasks and the heavy primitives
 (components, clique search) are the pure-Python bitset kernels in
-:mod:`.kernels`.
+:mod:`.kernels`.  Every clique search, :meth:`Graph.clique_number`
+included, is the one colour-bounded branch and bound there, run on an
+explicit stack, so a clique of any size is found without recursion.
 Minimal clique separators come from the MCS-M minimal triangulation
 (Berry, Blair, Heggernes, Peyton, "Maximum cardinality search for
 computing minimal triangulations of graphs", Algorithmica 39, 2004),
@@ -225,20 +227,22 @@ class Graph:
         >>> Graph(["a", "b", "c"], [("a", "b"), ("b", "c")]).link((0,))
         (1,)
         """
-        mask = self._full
-        for i in self.vertex_set(s):
-            mask &= self._adj[i]
-        return _mask_to_set(mask)
+        return _mask_to_set(self._link_mask(self.vertex_set(s)))
 
     def star(self, s: Iterable[int]) -> VertexSet:
         """``s`` together with its link."""
         keep = self.vertex_set(s)
-        mask = self._full
-        for i in keep:
-            mask &= self._adj[i]
+        mask = self._link_mask(keep)
         for i in keep:
             mask |= 1 << i
         return _mask_to_set(mask)
+
+    def _link_mask(self, keep: VertexSet) -> int:
+        """Mask of the link of ``keep``, a checked vertex set."""
+        mask = self._full
+        for i in keep:
+            mask &= self._adj[i]
+        return mask
 
     def is_clique(self, s: Iterable[int]) -> bool:
         """True iff the vertices of ``s`` are pairwise adjacent; the empty
@@ -265,9 +269,12 @@ class Graph:
         return not kernels.is_connected_bits(self._adj, remaining)
 
     def clique_number(self) -> int:
-        """Size of a largest clique; 0 for the empty graph."""
+        """Size of a largest clique; 0 for the empty graph.  One
+        colour-bounded branch and bound on the adjacency masks
+        (:func:`.kernels.first_clique_of_size_bits` in maximum mode)."""
         if "cn" not in self._cache:
-            self._cache["cn"] = kernels.max_clique_size_bits(self._adj, self._full)
+            largest = kernels.first_clique_of_size_bits(self._adj, self._full)
+            self._cache["cn"] = largest.bit_count()
         return self._cache["cn"]
 
     # -- separators --------------------------------------------------------

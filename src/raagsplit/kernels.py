@@ -3,6 +3,17 @@
 Graphs are adjacency masks: adj[i] is an int whose set bits are the
 neighbors of vertex i.  Vertex subsets are masks over the same bits.
 Python ints are unbounded, so every kernel accepts any vertex count.
+
+There is one clique search, :func:`first_clique_of_size_bits`: a branch
+and bound that answers both "the first clique of size k" and "a largest
+clique".  It bounds each node by a greedy colouring of its candidates,
+as MCQ does (Tomita and Seki, "An efficient branch-and-bound algorithm
+for finding a maximum clique", DMTCS 2003, LNCS 2731), on bitsets, as
+BBMC does (San Segundo, Rodriguez-Losada and Jimenez, "An exact
+bit-parallel algorithm for the maximum clique problem", Computers &
+Operations Research 38(2), 2011).  Unlike both, it branches in ascending
+vertex order, so the clique it finds first is the lexicographically
+first one, and it keeps its nodes on an explicit stack.
 """
 
 
@@ -40,67 +51,71 @@ def is_connected_bits(adj, mask):
     return component_bits(adj, mask, mask & -mask) == mask
 
 
-def max_clique_size_bits(adj, mask):
-    best = 0
-    if not mask:
-        return 0
+def _class_heads(adj, cand, most):
+    """Highest vertex of each greedy colour class of ``cand``, for at
+    most ``most`` classes.
 
-    def expand(size, p, x):
-        nonlocal best
-        if not p and not x:
-            if size > best:
-                best = size
-            return
-        if size + p.bit_count() <= best:
-            return
-        best_v, best_cover = -1, -1
-        px = p | x
-        while px:
-            low = px & -px
-            px ^= low
-            v = low.bit_length() - 1
-            cover = (adj[v] & p).bit_count()
-            if cover > best_cover:
-                best_v, best_cover = v, cover
-        cand = p & ~adj[best_v]
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            expand(size + 1, p & adj[v], x & adj[v])
-            p &= ~low
-            x |= low
-
-    expand(0, mask, 0)
-    return best
+    Each class is taken greedily from the highest uncoloured vertex
+    down, so the heads descend: the largest colour among the vertices of
+    ``cand`` at or above v is the number of heads at or above v.
+    """
+    heads = []
+    while cand:
+        heads.append(cand.bit_length() - 1)
+        if len(heads) == most:
+            break
+        free = cand
+        while free:
+            top = free.bit_length() - 1
+            bit = 1 << top
+            cand ^= bit
+            free &= ~(adj[top] | bit)
+    return heads
 
 
-def first_clique_of_size_bits(adj, candidates, size):
+def first_clique_of_size_bits(adj, candidates, size=None):
     """Lexicographically first clique of exactly ``size`` vertices inside
-    ``candidates``, as a mask; None if there is none.
+    ``candidates``, as a mask; None if there is none.  With ``size=None``,
+    the lexicographically first clique of maximum size, as a mask (0 when
+    ``candidates`` is empty).
 
-    Lexicographic order is on the ascending vertex index sequence, so the
-    first branch that completes is the answer.
+    Lexicographic order is on the ascending vertex index sequence.  The
+    search branches on vertices in ascending order, so among cliques of
+    one size the first found is the answer.  The target is ``size``, or
+    one more than the best clique found so far.  Each node colours its
+    candidates once (:func:`_class_heads`); a clique through a vertex v
+    holds at most one vertex per colour class that has a member at or
+    above v, and that bound only falls as v rises, so the node stops at
+    the first vertex whose bound cannot reach the target.  The bound
+    cuts only branches that cannot reach the target, so it never changes
+    which clique is found first.  Nodes sit on an explicit stack, so a
+    clique of any size is found without recursion.
     """
     if size == 0:
         return 0
-    if candidates.bit_count() < size:
-        return None
-
-    def dfs(chosen, cand, need):
-        if need == 0:
-            return chosen
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            if cand.bit_count() + 1 < need:
-                return None
-            v = low.bit_length() - 1
-            narrowed = cand & adj[v]
-            if need == 1 or narrowed.bit_count() >= need - 1:
-                got = dfs(chosen | low, narrowed, need - 1)
-                if got is not None:
-                    return got
-        return None
-
-    return dfs(0, candidates, size)
+    if size is None:
+        best, found, most = 0, 0, candidates.bit_count()
+    else:
+        best, found, most = size - 1, None, size
+    # a frame: chosen clique, its size, the candidates above the last
+    # vertex branched on, and the heads of the candidates' colour classes
+    stack = [[0, 0, candidates, _class_heads(adj, candidates, most)]]
+    while stack:
+        frame = stack[-1]
+        chosen, depth, rest, heads = frame
+        need = best + 1 - depth
+        low = rest & -rest
+        if not low or need > len(heads) or low > 1 << heads[need - 1]:
+            stack.pop()
+            continue
+        frame[2] = rest ^ low
+        chosen |= low
+        depth += 1
+        if depth > best:
+            if size is not None:
+                return chosen
+            best, found = depth, chosen
+        sub = rest & adj[low.bit_length() - 1]
+        if sub.bit_count() > best - depth:
+            stack.append([chosen, depth, sub, _class_heads(adj, sub, most - depth)])
+    return found

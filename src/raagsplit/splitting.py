@@ -118,10 +118,7 @@ def extend_clique_to_rank(g: Graph, s, n: int) -> Optional[VertexSet]:
     _check_rank(n)
     if n < len(s):
         raise InvalidRankError(f"rank {n} is below the clique size {len(s)}")
-    linkmask = 0
-    for v in g.link(s):
-        linkmask |= 1 << v
-    xi = kernels.first_clique_of_size_bits(g.adjacency_masks, linkmask, n - len(s))
+    xi = kernels.first_clique_of_size_bits(g.adjacency_masks, g._link_mask(s), n - len(s))
     if xi is None:
         return None
     return g.vertex_set(set(s) | set(_mask_to_set(xi)))
@@ -189,8 +186,10 @@ def splitting_spectrum(g: Graph) -> set[int]:
     One pass over the minimal clique separators: a separator S extends
     to a rank-n clique exactly when the link of S holds a clique of size
     n - |S|, so S contributes every n in [|S|, |S| + clique number of the
-    link].  A complete non-empty graph adds |V| - 1.  This is the same
-    set as asking :func:`splits_over_rank` rank by rank.
+    link].  The link's clique number comes from the same branch and
+    bound that :func:`extend_clique_to_rank` runs, in maximum mode.  A
+    complete non-empty graph adds |V| - 1.  This is the same set as
+    asking :func:`splits_over_rank` rank by rank.
 
     >>> sorted(splitting_spectrum(Graph("abc", [("a", "b"), ("b", "c")])))
     [1, 2]
@@ -198,10 +197,7 @@ def splitting_spectrum(g: Graph) -> set[int]:
     out = {g.n - 1} if g.n and g.is_complete() else set()
     adj = g.adjacency_masks
     for sep in g.minimal_clique_separators():
-        linkmask = 0
-        for v in g.link(sep):
-            linkmask |= 1 << v
-        top = len(sep) + kernels.max_clique_size_bits(adj, linkmask)
+        top = len(sep) + kernels.first_clique_of_size_bits(adj, g._link_mask(sep)).bit_count()
         out.update(range(len(sep), top + 1))
     return out
 

@@ -10,9 +10,9 @@ adjacency sets, lattice distances come from multi-source BFS.
 ``ccd_recursion_oracle``, ``decompose_oracle``,
 ``verify_star_split_oracle``, ``verify_amalgam_oracle``,
 ``replay_oracle``, ``replay_star_split_oracle``,
-``subgroup_points_oracle`` and
-``deep_witnesses_oracle`` are instead the code that a rewrite replaced,
-kept to test the new code differentially.
+``subgroup_points_oracle``, ``deep_witnesses_oracle``,
+``max_clique_size_oracle`` and ``first_clique_oracle`` are instead the
+code that a rewrite replaced, kept to test the new code differentially.
 """
 
 from __future__ import annotations
@@ -104,6 +104,72 @@ def induced_subgraph_oracle(g: Graph, s) -> Graph:
             if j > i and both >> j & 1:
                 edges.append((labels[pos[i]], labels[pos[j]]))
     return Graph(labels, edges)
+
+
+def max_clique_size_oracle(adj, mask):
+    best = 0
+    if not mask:
+        return 0
+
+    def expand(size, p, x):
+        nonlocal best
+        if not p and not x:
+            if size > best:
+                best = size
+            return
+        if size + p.bit_count() <= best:
+            return
+        best_v, best_cover = -1, -1
+        px = p | x
+        while px:
+            low = px & -px
+            px ^= low
+            v = low.bit_length() - 1
+            cover = (adj[v] & p).bit_count()
+            if cover > best_cover:
+                best_v, best_cover = v, cover
+        cand = p & ~adj[best_v]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            expand(size + 1, p & adj[v], x & adj[v])
+            p &= ~low
+            x |= low
+
+    expand(0, mask, 0)
+    return best
+
+
+def first_clique_oracle(adj, candidates, size):
+    """Lexicographically first clique of exactly ``size`` vertices inside
+    ``candidates``, as a mask; None if there is none.
+
+    Lexicographic order is on the ascending vertex index sequence, so the
+    first branch that completes is the answer.
+    """
+    if size == 0:
+        return 0
+    if candidates.bit_count() < size:
+        return None
+
+    def dfs(chosen, cand, need):
+        if need == 0:
+            return chosen
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            if cand.bit_count() + 1 < need:
+                return None
+            v = low.bit_length() - 1
+            narrowed = cand & adj[v]
+            if need == 1 or narrowed.bit_count() >= need - 1:
+                got = dfs(chosen | low, narrowed, need - 1)
+                if got is not None:
+                    return got
+        return None
+
+    return dfs(0, candidates, size)
 
 
 def mask_graph(n: int, mask: int, prefix: str = "v") -> Graph:

@@ -449,6 +449,38 @@ class TestColdImport:
         assert proc.stdout == out + json.dumps(report_to_dict(report)) + "\n"
 
 
+class TestNoHang:
+    def test_cocktail_party_clique_search_finishes(self, tmp_path):
+        # 31 non-adjacent pairs, every other pair joined, plus a pendant:
+        # a search that prunes only by counting vertices runs for hours
+        labels = [f"v{i}" for i in range(62)]
+        edges = [
+            [labels[i], labels[j]] for i in range(62) for j in range(i + 1, 62) if j != i ^ 1
+        ]
+        edges.append(["v0", "p"])
+        path = tmp_path / "cocktail.json"
+        path.write_text(json.dumps({"vertices": labels + ["p"], "edges": edges}))
+        src = str(Path(raagsplit.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+        def cli(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "raagsplit.cli", *args, str(path)],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=20,
+            )
+
+        proc = cli("spectrum")
+        assert proc.returncode == 0, proc.stderr
+        assert envelope(proc.stdout)["result"]["spectrum"] == list(range(1, 32))
+        proc = cli("decide", "-n", "32")
+        assert proc.returncode == 1, proc.stderr
+        assert envelope(proc.stdout)["result"]["answer"] == "no"
+
+
 class TestInputHandling:
     def test_format_override(self, files, capsys):
         # content sniffs as dot (leading "graph") but is really an edge list

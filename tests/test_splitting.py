@@ -182,6 +182,20 @@ class TestSpectrum:
             ), g.edges()
 
 
+class TestBeyondTheRecursionLimit:
+    # a clique search that recursed once per clique vertex raised
+    # RecursionError on these
+    def test_clique_number_of_k1100(self):
+        assert complete_graph(1100).clique_number() == 1100
+
+    def test_witness_of_rank_1050(self):
+        labels = [f"v{i}" for i in range(1100)]
+        h = Graph(labels + ["p"], [*itertools.combinations(labels, 2), ("v0", "p")])
+        w = splits_over_rank(h, 1050)
+        assert w is not None and w.separator == (0,)
+        w.validate(h)
+
+
 class TestOracle:
     def test_path_true(self):
         assert brute_force_splits(path_graph("abc"), 2)
