@@ -273,8 +273,7 @@ class Graph:
         colour-bounded branch and bound on the adjacency masks
         (:func:`.kernels.first_clique_of_size_bits` in maximum mode)."""
         if "cn" not in self._cache:
-            largest = kernels.first_clique_of_size_bits(self._adj, self._full)
-            self._cache["cn"] = largest.bit_count()
+            self._cache["cn"] = kernels.max_clique_size_bits(self._adj, self._full)
         return self._cache["cn"]
 
     # -- separators --------------------------------------------------------

@@ -6,14 +6,16 @@ Python ints are unbounded, so every kernel accepts any vertex count.
 
 There is one clique search, :func:`first_clique_of_size_bits`: a branch
 and bound that answers both "the first clique of size k" and "a largest
-clique".  It bounds each node by a greedy colouring of its candidates,
-as MCQ does (Tomita and Seki, "An efficient branch-and-bound algorithm
-for finding a maximum clique", DMTCS 2003, LNCS 2731), on bitsets, as
-BBMC does (San Segundo, Rodriguez-Losada and Jimenez, "An exact
-bit-parallel algorithm for the maximum clique problem", Computers &
-Operations Research 38(2), 2011).  Unlike both, it branches in ascending
-vertex order, so the clique it finds first is the lexicographically
-first one, and it keeps its nodes on an explicit stack.
+clique"; :func:`max_clique_size_bits` only reads off the size of the
+largest one.  It bounds each node by a greedy colouring of its
+candidates, as MCQ does (Tomita and Seki, "An efficient
+branch-and-bound algorithm for finding a maximum clique", DMTCS 2003,
+LNCS 2731), on bitsets, as BBMC does (San Segundo, Rodriguez-Losada
+and Jimenez, "An exact bit-parallel algorithm for the maximum clique
+problem", Computers & Operations Research 38(2), 2011).  Unlike both,
+it branches in ascending vertex order, so the clique it finds first is
+the lexicographically first one, and it keeps its nodes on an explicit
+stack.
 """
 
 
@@ -51,9 +53,8 @@ def is_connected_bits(adj, mask):
     return component_bits(adj, mask, mask & -mask) == mask
 
 
-def _class_heads(adj, cand, most):
-    """Highest vertex of each greedy colour class of ``cand``, for at
-    most ``most`` classes.
+def _class_heads(adj, cand):
+    """Highest vertex of each greedy colour class of ``cand``.
 
     Each class is taken greedily from the highest uncoloured vertex
     down, so the heads descend: the largest colour among the vertices of
@@ -62,8 +63,6 @@ def _class_heads(adj, cand, most):
     heads = []
     while cand:
         heads.append(cand.bit_length() - 1)
-        if len(heads) == most:
-            break
         free = cand
         while free:
             top = free.bit_length() - 1
@@ -94,12 +93,12 @@ def first_clique_of_size_bits(adj, candidates, size=None):
     if size == 0:
         return 0
     if size is None:
-        best, found, most = 0, 0, candidates.bit_count()
+        best, found = 0, 0
     else:
-        best, found, most = size - 1, None, size
+        best, found = size - 1, None
     # a frame: chosen clique, its size, the candidates above the last
     # vertex branched on, and the heads of the candidates' colour classes
-    stack = [[0, 0, candidates, _class_heads(adj, candidates, most)]]
+    stack = [[0, 0, candidates, _class_heads(adj, candidates)]]
     while stack:
         frame = stack[-1]
         chosen, depth, rest, heads = frame
@@ -117,5 +116,11 @@ def first_clique_of_size_bits(adj, candidates, size=None):
             best, found = depth, chosen
         sub = rest & adj[low.bit_length() - 1]
         if sub.bit_count() > best - depth:
-            stack.append([chosen, depth, sub, _class_heads(adj, sub, most - depth)])
+            stack.append([chosen, depth, sub, _class_heads(adj, sub)])
     return found
+
+
+def max_clique_size_bits(adj, candidates):
+    """Size of a largest clique inside ``candidates``; 0 when empty.
+    :func:`first_clique_of_size_bits` in maximum mode."""
+    return first_clique_of_size_bits(adj, candidates).bit_count()

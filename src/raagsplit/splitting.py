@@ -197,7 +197,7 @@ def splitting_spectrum(g: Graph) -> set[int]:
     out = {g.n - 1} if g.n and g.is_complete() else set()
     adj = g.adjacency_masks
     for sep in g.minimal_clique_separators():
-        top = len(sep) + kernels.first_clique_of_size_bits(adj, g._link_mask(sep)).bit_count()
+        top = len(sep) + kernels.max_clique_size_bits(adj, g._link_mask(sep))
         out.update(range(len(sep), top + 1))
     return out
 

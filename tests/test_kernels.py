@@ -1,6 +1,6 @@
 """The bitmask kernels: edge cases (empty inputs, graphs too wide for a
-machine word), and the one clique search against the two kernels it
-replaced, kept in conftest as oracles."""
+machine word), and the one clique search, with the size accessor over
+it, against the two kernels it replaced, kept in conftest as oracles."""
 
 import itertools
 import random
@@ -20,6 +20,7 @@ def test_graphs_over_64_vertices():
     assert kernels.is_connected_bits(adj, full)
     comps = kernels.components_bits(adj, full)
     assert comps == [full]
+    assert kernels.max_clique_size_bits(adj, full) == 2
     assert kernels.first_clique_of_size_bits(adj, full) == 0b11
 
 
@@ -30,6 +31,7 @@ def test_empty_inputs():
     assert kernels.first_clique_of_size_bits([0, 0], 0b11, 2) is None
     assert kernels.first_clique_of_size_bits([0b10, 0b01], 0b11, 3) is None
     assert kernels.first_clique_of_size_bits([0, 0], 0) == 0
+    assert kernels.max_clique_size_bits([0, 0], 0) == 0
 
 
 def _agrees_with_oracles(adj, cand):
@@ -39,6 +41,7 @@ def _agrees_with_oracles(adj, cand):
     largest = kernels.first_clique_of_size_bits(adj, cand)
     omega = max_clique_size_oracle(adj, cand)
     assert largest == first_clique_oracle(adj, cand, omega), (adj, cand)
+    assert kernels.max_clique_size_bits(adj, cand) == omega, (adj, cand)
     for k in range(omega + 2):
         assert kernels.first_clique_of_size_bits(adj, cand, k) == first_clique_oracle(
             adj, cand, k
