@@ -9,9 +9,9 @@ sits properly inside both.
 
 The construction here recurses: take the smallest complete cut (fewest
 vertices, ties broken lexicographically), split the graph into the cut
-plus the first component versus the cut plus everything else, decompose
-both halves, and join the subtrees at nodes whose pieces properly
-contain the cut.
+plus each component of the graph minus the cut, decompose each of
+those children, and chain their subtrees, consecutive children joined
+at nodes whose pieces properly contain the cut.
 
 A note on cut search: every separating subset of a clique is itself a
 clique, so a minimum-size complete cut can never contain a smaller
@@ -26,21 +26,22 @@ the recursion can need among the madj sets of its generators (see
 :mod:`.graphs`) that are cliques: the cut of a piece is the
 smallest of those candidates inside it whose removal disconnects it,
 and pieces stay vertex masks of the ambient graph throughout.  A
-candidate that does not disconnect a piece disconnects neither of its
-halves, so each half searches only the candidates it is handed.
+candidate that does not disconnect a piece disconnects none of its
+children, so each child searches only the candidates it is handed.
 
 Whether a candidate disconnects a piece is read off the components of
-the piece minus the candidate, found once per candidate: it disconnects
-the piece iff there are at least two, and the first half is the cut
-plus the component holding the piece's lowest vertex outside the cut.
-A candidate is only ever tested on one shrinking chain of pieces, and
-once it is a cut, the next piece of that chain is the second half,
-which has lost just the component split off, so the components left
-answer that test too.  The components of the whole graph minus the cut
-would give the same answers, since every piece is bounded by clique
-cuts and a path that leaves a piece can be shortcut through the clique
-it leaves by; but they cost a pass over the whole graph per cut, which
-a tree or a clique-sum, with about one cut per vertex, pays n times.
+the piece minus the candidate, found with one component pass: it
+disconnects the piece iff there are at least two, and the piece is then
+cut into the cut plus each of them in one step.  Two facts make that one
+step enough (see ``_decompose``): every later candidate lies in exactly
+one child, so no candidate is tested twice; and every component of the
+cut is full, so every child holds a piece that properly contains the
+cut, where its tree edge attaches.  The components of the whole graph
+minus the cut would give the same answers, since every piece is bounded
+by clique cuts and a path that leaves a piece can be shortcut through
+the clique it leaves by; but they cost a pass over the whole graph per
+cut, which a tree or a clique-sum, with about one cut per vertex, pays
+n times.
 """
 
 from __future__ import annotations
@@ -162,51 +163,51 @@ def _decompose(g: Graph, cands: list[int], whole: int):
     inside ``whole``.
 
     Each piece is cut at the first of its candidates that disconnects
-    it, and splits into the cut plus its first component and the rest.
-    Each half is handed only the candidates inside it from the cut's
-    position onward.  The earlier ones do not disconnect the piece, so
-    they cannot disconnect a half either: two components of a half
-    minus a clique c would each have to reach the other part of the
-    piece through the cut, hence each hold a vertex of the cut outside
-    c, and those vertices are adjacent.  The cut itself goes to the
-    second half only, since the first minus the cut is one component.
+    it, found with one component pass per candidate tested: a candidate
+    disconnects the piece iff the piece minus it has at least two
+    components.  The piece then splits at once into the cut plus each
+    component, in order of the components' lowest vertices, and each
+    child is walked in that order.  The candidates before the cut do
+    not disconnect the piece, so they cannot disconnect a child either:
+    two components of a child minus a clique c would each have to reach
+    the other part of the piece through the cut, hence each hold a
+    vertex of the cut outside c, and those vertices are adjacent.  So
+    the children share the candidates after the cut, and each of those
+    lies in exactly one child, since it is no smaller than the cut and
+    differs from it, and its vertices outside the cut form a non-empty
+    clique, which one component holds.  Each child takes its own
+    candidates from what the children before it left, and the last
+    child takes the rest; no candidate is ever tested twice.
 
-    A candidate is tested against a piece with the components of the
-    piece minus the candidate, found with one component pass the first
-    time the candidate is tested: it disconnects the piece iff there are
-    at least two.  The first half takes the component with the lowest
-    vertex, and the rest stay for the candidate's next test.  A later
-    candidate lies in at most one half, since the halves share only the
-    cut and a later candidate is no smaller than the cut, so each
-    candidate is tested on one shrinking chain of pieces.  Once it is a
-    cut, it heads the second half's list, and that half minus the cut is
-    the components left; a test on any other piece would be a bug, and
-    raises InternalInvariantError.
+    Every component of the cut is full, since the cut is a smallest
+    complete cut of the piece: a vertex of the cut with no neighbour in
+    a component would leave the rest of the cut, a smaller clique,
+    separating that component from the others.  So every child holds a
+    piece that properly contains the cut, and the cut's tree edges chain
+    the first such piece of each child's subtree, consecutive children
+    joined.
 
-    The pieces are listed leaf by leaf, left half first, and each cut's
-    tree edge follows the edges of both its halves, which joins the
-    first piece of each half that properly contains the cut.  The walk
-    keeps its own stack, so its depth is not bounded by Python's
-    recursion limit.
+    The pieces are listed leaf by leaf, children in order, and a cut's
+    chain edges follow all edges of its children's subtrees, last pair
+    first.  The walk keeps its own stack, so its depth is not bounded by
+    Python's recursion limit.
     """
     adj = g.adjacency_masks
-    # per cut: the piece minus the cut its components were found for,
-    # and those components by descending lowest vertex
-    split: dict[int, list] = {}
     pieces, edges, cuts = [], [], []
-    # a (piece, candidates) tuple is a piece still to split; a cut's
-    # [cut, start] record is pushed twice, and gains the start of its
-    # second half when it first comes off the stack
+    # a (piece, candidates) pair is a piece still to walk; a (cut, k)
+    # pair joins the last k subtrees walked, once they are done
     stack = [(whole, cands)]
+    # the index of the first piece of each subtree walked and not yet
+    # joined to its siblings
+    starts = []
     while stack:
         top = stack.pop()
-        if isinstance(top, list):
-            if len(top) == 2:
-                top.append(len(pieces))
-                continue
-            cut, start, middle = top
+        if isinstance(top[1], int):
+            cut, k = top
+            bounds = starts[-k:] + [len(pieces)]
+            del starts[-k:]
             attach = []
-            for lo, hi in ((start, middle), (middle, len(pieces))):
+            for lo, hi in zip(bounds, bounds[1:]):
                 found = next(
                     (i for i in range(lo, hi) if cut & ~pieces[i] == 0 and cut != pieces[i]),
                     None,
@@ -217,35 +218,27 @@ def _decompose(g: Graph, cands: list[int], whole: int):
                         f"{_mask_to_set(cut)}"
                     )
                 attach.append(found)
-            edges.append((attach[0], attach[1]))
-            cuts.append(cut)
+            edges += [(attach[j - 1], attach[j]) for j in range(k - 1, 0, -1)]
+            cuts += [cut] * (k - 1)
             continue
         piece, inside = top
+        starts.append(len(pieces))
         for at, cut in enumerate(inside):
-            rest = piece & ~cut
-            entry = split.get(cut)
-            if entry is None:
-                entry = split[cut] = [rest, kernels.components_bits(adj, rest)[::-1]]
-            elif entry[0] != rest:
-                raise InternalInvariantError(
-                    f"the cut candidate {_mask_to_set(cut)} met a piece off its chain"
-                )
-            if len(entry[1]) >= 2:
+            comps = kernels.components_bits(adj, piece & ~cut)
+            if len(comps) >= 2:
                 break
         else:
             pieces.append(piece)
             continue
-        comp = entry[1].pop()
-        entry[0] = rest & ~comp
-        first = cut | comp
-        second = piece & ~comp
-        record = [cut, len(pieces)]
-        stack += [
-            record,
-            (second, [c for c in inside[at:] if c & ~second == 0]),
-            record,
-            (first, [c for c in inside[at + 1:] if c & ~first == 0]),
-        ]
+        rest = inside[at + 1:]
+        children = []
+        for comp in comps[:-1]:
+            child = cut | comp
+            children.append((child, [c for c in rest if c & ~child == 0]))
+            rest = [c for c in rest if c & ~child]
+        children.append((cut | comps[-1], rest))
+        stack.append((cut, len(comps)))
+        stack += reversed(children)
     return pieces, edges, cuts
 
 

@@ -365,11 +365,11 @@ def direct_amalgam(g: Graph, s) -> Amalgam:
     s = g.vertex_set(s)
     if not g.is_clique(s):
         raise NotSeparatingCliqueError(f"{g.labels_of(s)} is not a clique")
-    if not g.separates(s):
-        raise NotSeparatingCliqueError(f"{g.labels_of(s)} does not separate the graph")
     comps = g.induced_complement_components(s)
+    if len(comps) < 2:
+        raise NotSeparatingCliqueError(f"{g.labels_of(s)} does not separate the graph")
     side1 = g.vertex_set(set(s) | set(comps[0]))
-    side2 = g.vertex_set(set(s).union(*comps[1:]) if len(comps) > 1 else set(s))
+    side2 = g.vertex_set(set(s).union(*comps[1:]))
     edge_gens = g.labels_of(s)
     identity = {x: ((x, 1),) for x in edge_gens}
     return Amalgam._from_codes(

@@ -3,6 +3,7 @@ graph-of-groups read-off."""
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 import sys
@@ -80,6 +81,22 @@ class TestDecompose:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             complete_cut_decomposition(Graph("ab"))
+
+    @pytest.mark.parametrize(
+        "labels, pieces, cuts",
+        [
+            ("cxyz", ((0, 1), (0, 2), (0, 3)), ((0,), (0,))),
+            ("xcyz", ((0, 1), (1, 2), (1, 3)), ((1,), (1,))),
+        ],
+    )
+    def test_three_leaf_star_chains_its_children(self, labels, pieces, cuts):
+        # one cut, three children, walked in order of their lowest
+        # vertex; the chain edges come last pair first
+        g = Graph(labels, [("c", x) for x in "xyz"])
+        t = complete_cut_decomposition(g)
+        assert t.pieces == pieces
+        assert t.tree_edges == ((1, 2), (0, 1))
+        assert t.cuts == cuts
 
     def test_deterministic(self):
         rng = random.Random(12)
@@ -316,14 +333,16 @@ class TestOnePassDifferential:
         assert calls == [g]
 
 
-def clique_sum(rng: random.Random, n: int, max_clique: int) -> Graph:
+def clique_sum(rng: random.Random, n: int, max_clique: int, hubs: int | None = None) -> Graph:
     """Chordal graph on n vertices: each new vertex joins a random
     sub-clique of an earlier clique, so every piece of its
-    decomposition is a clique of at most ``max_clique`` vertices."""
+    decomposition is a clique of at most ``max_clique`` vertices.  With
+    ``hubs``, only the first ``hubs`` cliques are joined, so their
+    sub-cliques are cuts with many components."""
     cliques = [[0]]
     edges = set()
     for v in range(1, n):
-        base = rng.choice(cliques)
+        base = rng.choice(cliques if hubs is None else cliques[:hubs])
         attach = rng.sample(base, rng.randint(1, min(len(base), max_clique - 1)))
         edges.update((u, v) for u in attach)
         cliques.append(attach + [v])
@@ -393,10 +412,33 @@ class TestGeneratorCandidates:
         assert shrunk > 0
 
 
+def _broom(path_first: bool) -> Graph:
+    """A 50-vertex path whose last vertex is the centre of 50 leaves;
+    the path's vertices come first, or the centre and its leaves."""
+    path = [f"p{i}" for i in range(50)]
+    leaves = [f"l{i}" for i in range(50)]
+    labels = path + leaves if path_first else [path[-1]] + leaves + path[:-1]
+    edges = list(zip(path, path[1:])) + [(path[-1], x) for x in leaves]
+    return Graph(labels, edges)
+
+
+def _wide_cut_corpus():
+    """Graphs whose cuts have tens to hundreds of components: K_{1,300},
+    two brooms and 20 seeded clique-sums with 200 to 400 vertices that
+    join only a few early cliques."""
+    yield Graph(["c"] + [f"x{i}" for i in range(300)], [("c", f"x{i}") for i in range(300)])
+    yield _broom(True)
+    yield _broom(False)
+    rng = random.Random(27_2026)
+    for _ in range(20):
+        yield clique_sum(rng, rng.randint(200, 400), rng.randint(2, 5), rng.randint(8, 20))
+
+
 class TestCandidateHandDown:
-    """``_decompose`` hands each half only its own candidates; the walk
-    it replaced, which rescans all of g's candidates for every piece, is
-    kept in conftest as ``decompose_oracle``."""
+    """``_decompose`` cuts a piece into every component of its cut at
+    once and hands each child only its own candidates; the walk it
+    replaced, which splits in two and rescans all of g's candidates for
+    every piece, is kept in conftest as ``decompose_oracle``."""
 
     def test_matches_full_rescan(self):
         count = 0
@@ -407,11 +449,24 @@ class TestCandidateHandDown:
             count += 1
         assert count == 1 + 1 + 4 + 38 + 728 + 26704 + 3000
 
+    def test_wide_cuts_match_both_oracles(self):
+        for k, g in enumerate(_wide_cut_corpus()):
+            cands = g._clique_separator_candidates()
+            whole = (1 << g.n) - 1
+            got = _decompose(g, cands, whole)
+            assert got == decompose_oracle(g, cands, whole), g.edges()
+            # the recursion oracle builds a subgraph per piece, so it
+            # runs on the brooms and the first clique-sums only
+            if 1 <= k <= 6:
+                assert complete_cut_decomposition(g) == ccd_recursion_oracle(g), g.edges()
+            # some cut has at least 30 children, chained by 29 edges
+            assert max(collections.Counter(got[2]).values()) >= 29, g.edges()
+
     def test_connectivity_checks_per_piece_stay_bounded(self, monkeypatch):
         # the full rescan made about 7-8 checks per piece on these graphs,
-        # the hand-down about 2.6, candidate filtering included; with the
-        # components of each cut found once, a BFS check per candidate
-        # tried became one component pass per distinct cut
+        # the hand-down about 2.6, candidate filtering included; now a
+        # piece is cut into every component of its cut at once, so each
+        # candidate gets at most one component pass
         calls, comp_calls = [], []
         original = kernels.is_connected_bits
         original_components = kernels.components_bits
